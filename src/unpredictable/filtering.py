@@ -12,11 +12,18 @@ known value at time a, for t in the same piece with symbol value v,
 
     chi(t) = chi(a) * exp(-lambda*(t - a)) + (v/lambda) * (1 - exp(-lambda*(t - a))).
 
-The integrators below walk the pieces with this recurrence and never
-discretize, so the only error is floating-point rounding, roughly one unit
-in the last place per piece crossed.  Two trajectories of the same signal
-started from different values therefore contract toward each other exactly
-like exp(-lambda*t), and the output is trapped in the band
+:func:`chi_exact` uses it twice.  A scalar chain steps the recurrence from
+breakpoint to breakpoint, giving chi at the start of every piece; it stays
+on ``math.exp`` one piece at a time, because ``np.exp`` differs from it in
+the last bit on a few percent of arguments and a vectorized or prefix-scan
+chain would change the output bytes.  The samples are then evaluated in
+fixed-size vectorized blocks: ``searchsorted`` of the breakpoints into the
+sample times assigns each sample its piece, and one ``np.exp`` applies the
+same closed form from that piece's start.  Nothing is discretized, so the
+only error is floating-point rounding, roughly one unit in the last place
+per piece crossed.  Two trajectories of the same signal started from
+different values therefore contract toward each other exactly like
+exp(-lambda*t), and the output is trapped in the band
 [min(pi)/lambda, max(pi)/lambda] once started inside it.
 """
 
@@ -28,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CoverageError, DomainError
+from .errors import CoverageError, DomainError, ResourceError
 from .symbolspace import SequenceWindow
 
 #: Relative slack used when classifying times against piece breakpoints.
@@ -36,6 +43,12 @@ _EDGE_TOL = 1e-9
 
 #: Allowed relative jitter in trajectory sample spacing.
 _UNIFORM_TOL = 1e-12
+
+#: Largest number of samples chi_exact will allocate.
+MAX_SAMPLES = 1 << 25
+
+#: Samples chi_exact evaluates per vectorized block; bounds its temporaries.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,8 @@ class Trajectory:
         if t.ndim != 1 or t.size < 1 or t.shape != v.shape:
             raise DomainError("times and values must be 1-d arrays "
                               "of equal, nonzero length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise DomainError("times and values must be finite")
         if t.size > 1:
             gaps = np.diff(t)
             if np.any(gaps <= 0):
@@ -186,18 +201,43 @@ def _check_pair(signal: StepSignal, config: FilterConfig) -> None:
         raise DomainError("config.step must equal the signal step")
 
 
+def _chain(signal: StepSignal, lam: float, k: int, t_ref: float,
+           chi: float, k_end: int) -> tuple[list[float], list[float]]:
+    """Start times and values of pieces k..k_end, stepped one breakpoint at
+    a time from the value chi at time t_ref in piece k."""
+    if k_end == k:
+        return [t_ref], [chi]
+    breaks = (signal.origin + np.arange(k + 1, k_end + 1, dtype=np.int64)
+              * signal.step).tolist()
+    refs = [t_ref] + breaks
+    chis = [chi]
+    for b, v in zip(breaks, signal.sequence.segment(k, k_end - 1).tolist()):
+        e = math.exp(-lam * (b - t_ref))
+        chi = chi * e + (v / lam) * (1.0 - e)
+        t_ref = b
+        chis.append(chi)
+    return refs, chis
+
+
 def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
               t_end: float, chi_start: float) -> Trajectory:
     """Integrate the filter over [t_start, t_end] from a known start value.
 
     Samples are taken every ``config.sample_dt`` starting at ``t_start``; the
-    last sample is the largest grid point not beyond ``t_end``.  The value at
-    each sample comes from the per-piece recurrence, so no discretization
-    error is introduced at any spacing.
+    last sample is the largest grid point not beyond ``t_end``.  The samples
+    are evaluated in fixed-size blocks.  For each block a scalar
+    ``math.exp`` chain carries chi across the breakpoints it spans, so the
+    per-piece recurrence rounds exactly as a piece-by-piece walk would; then
+    ``searchsorted`` assigns every sample its piece (a sample on a
+    breakpoint belongs to the later piece) and one ``np.exp`` evaluates the
+    closed form from that piece's start.  No discretization error is
+    introduced at any spacing.
 
     Raises:
         DomainError: t_end <= t_start, or config and signal disagree on step.
-        CoverageError: some sampled time needs a piece outside the window.
+        ResourceError: more than ``MAX_SAMPLES`` samples are requested.
+        CoverageError: some sampled time needs a piece outside the window,
+            beyond a slack of ``_EDGE_TOL * step`` after its last breakpoint.
     """
     _check_pair(signal, config)
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
@@ -207,38 +247,45 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
     lam = config.decay
     mu = signal.step
     dt = config.sample_dt
-    n = int(math.floor((t_end - t_start) / dt + _EDGE_TOL))
+    steps = (t_end - t_start) / dt + _EDGE_TOL
+    if steps >= MAX_SAMPLES:
+        raise ResourceError(f"sampling [{t_start!r}, {t_end!r}] every {dt!r} "
+                            f"needs more than {MAX_SAMPLES} samples")
+    n = int(math.floor(steps))
     times = t_start + dt * np.arange(n + 1)
     values = np.empty(n + 1)
-    tol = _EDGE_TOL * mu
     first_p = signal.sequence.first_index
     last_p = signal.sequence.last_index
 
     k = _piece_index(signal.origin, mu, t_start)
     t_ref = t_start
     chi = float(chi_start)
-    i = 0
-    total = n + 1
-    while i < total:
-        if not first_p <= k <= last_p:
-            # a sample exactly at the reference time needs no piece value
-            if np.any(times[i:] > t_ref + tol):
-                raise CoverageError(
-                    f"signal does not cover piece {k} needed near t={t_ref!r}")
-            values[i:] = chi
-            break
-        v = signal.piece_value(k)
-        b_next = signal.origin + (k + 1) * mu
-        j = int(np.searchsorted(times, b_next, side="left"))
-        if j > i:
-            decay = np.exp(-lam * (times[i:j] - t_ref))
-            values[i:j] = chi * decay + (v / lam) * (1.0 - decay)
-            i = j
-        if i < total:
-            e = math.exp(-lam * (b_next - t_ref))
-            chi = chi * e + (v / lam) * (1.0 - e)
-            t_ref = b_next
-            k += 1
+    covered = 0
+    if first_p <= k <= last_p:
+        covered = int(np.searchsorted(
+            times, signal.origin + (last_p + 1) * mu, side="left"))
+    for lo in range(0, covered, _BLOCK):
+        t = times[lo:min(lo + _BLOCK, covered)]
+        k_hi = _piece_index(signal.origin, mu, float(t[-1]))
+        refs, chis = _chain(signal, lam, k, t_ref, chi, k_hi)
+        scaled = signal.sequence.segment(k, k_hi) / lam
+        k, t_ref, chi = k_hi, refs[-1], chis[-1]
+        # samples per piece; a sample on a breakpoint opens the later piece
+        ends = np.searchsorted(t, refs[1:], side="left")
+        counts = np.diff(ends, prepend=0, append=t.size)
+        decay = np.exp(-lam * (t - np.repeat(refs, counts)))
+        values[lo:lo + t.size] = (np.repeat(chis, counts) * decay
+                                  + np.repeat(scaled, counts) * (1.0 - decay))
+    if covered <= n:
+        if first_p <= k <= last_p:
+            # carry chi to the end of the last covered piece
+            refs, chis = _chain(signal, lam, k, t_ref, chi, last_p + 1)
+            k, t_ref, chi = last_p + 1, refs[-1], chis[-1]
+        # a sample at the end of coverage needs no piece value
+        if times[-1] > t_ref + _EDGE_TOL * mu:
+            raise CoverageError(
+                f"signal does not cover piece {k} needed near t={t_ref!r}")
+        values[covered:] = chi
     return Trajectory(times, values)
 
 

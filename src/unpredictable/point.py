@@ -22,9 +22,9 @@ side, so the left half starts with the level-2 strings:
 
 Every finite pattern of the family recurs in both directions, which is what
 makes the sequence return arbitrarily close to itself under shifts.  Symbol
-lookup does not build the concatenation: the position within a level block
-identifies the string number and digit directly, so a single symbol costs
-O(log n).
+lookup does not build the concatenation: a ``searchsorted`` over the at most
+``MAX_LEVEL`` + 1 cumulative level offsets finds the level block, and the
+position within it identifies the string number and digit directly.
 """
 
 from __future__ import annotations

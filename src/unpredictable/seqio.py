@@ -54,13 +54,30 @@ def read_sequence(path) -> SequenceWindow:
     return parse_sequence(Path(path).read_text())
 
 
-def format_trajectory_csv(traj: Trajectory, digits: int = 17) -> str:
+#: Trajectory rows formatted per string in the CSV writers.
+_CSV_BLOCK = 1 << 14
+
+
+def _csv_digits(digits: int) -> int:
     d = int(digits)
     if not 1 <= d <= 17:
         raise DomainError("digits must lie in 1..17")
-    rows = "".join(f"{t:.{d}g},{v:.{d}g}\n"
-                   for t, v in zip(traj.times.tolist(), traj.values.tolist()))
-    return "t,value\n" + rows
+    return d
+
+
+def _csv_blocks(traj: Trajectory, d: int):
+    """The CSV text in pieces: the header, then one string per block of rows,
+    each formatted by a single %-operation over the block's floats."""
+    yield "t,value\n"
+    row = f"%.{d}g,%.{d}g\n"
+    for lo in range(0, len(traj), _CSV_BLOCK):
+        pairs = np.column_stack((traj.times[lo:lo + _CSV_BLOCK],
+                                 traj.values[lo:lo + _CSV_BLOCK]))
+        yield (row * len(pairs)) % tuple(pairs.ravel().tolist())
+
+
+def format_trajectory_csv(traj: Trajectory, digits: int = 17) -> str:
+    return "".join(_csv_blocks(traj, _csv_digits(digits)))
 
 
 def parse_trajectory_csv(text: str) -> Trajectory:
@@ -78,7 +95,11 @@ def parse_trajectory_csv(text: str) -> Trajectory:
 
 
 def write_trajectory_csv(path, traj: Trajectory, digits: int = 17) -> None:
-    Path(path).write_text(format_trajectory_csv(traj, digits), newline="\n")
+    """Stream the CSV to ``path`` block by block, never holding it whole."""
+    d = _csv_digits(digits)
+    with open(path, "w", newline="\n") as out:
+        for block in _csv_blocks(traj, d):
+            out.write(block)
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, exercised in process."""
 
 import json
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -119,6 +120,38 @@ class TestFilterCommand:
                    "--out", str(tmp_path / "x.csv"))
         assert code == 1
         capsys.readouterr()
+
+    def test_sample_limit_maps_to_1(self, tmp_path, capsys):
+        seq = tmp_path / "drive.seq"
+        run("bernoulli", "--seed", "1", "--length", "1000", "--out", str(seq))
+        out = tmp_path / "x.csv"
+        code = run("filter", "--in", str(seq), "--dt", "1e-9",
+                   "--t-end", "100", "--out", str(out))
+        assert code == 1
+        assert "samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, digest", [
+        (("--mu", "0.1", "--dt", "0.01", "--t-end", "300", "--phi0", "0"),
+         "96c4b4bbfbf83f34b7f8a103084d084a907f6a441e62c0c3b121241a6d624ee4"),
+        (("--mu", "0.37", "--dt", "0.05", "--lambda", "2.5",
+          "--t-end", "1110", "--phi0", "0.5"),
+         "7b94a5403708c0a94f56cf680294e18b5bb298052473295e8640124d5a468f77"),
+        (("--mu", "0.37", "--dt", "0.05", "--lambda", "2.5",
+          "--t-end", "1110", "--phi0", "0.5", "--digits", "9"),
+         "2ff447c571f10b6ff45154654307475b4f1bb459916120c0d7e320d0ab0b24cb"),
+    ])
+    def test_golden_bytes(self, tmp_path, flags, digest):
+        # digests of the piece-by-piece integrator and per-row CSV writer
+        seq = tmp_path / "drive.seq"
+        csv = tmp_path / "chi.csv"
+        assert run("bernoulli", "--seed", "7", "--length", "3000",
+                   "--alphabet=-1,0,1", "--p", "0.25,0.5,0.25",
+                   "--out", str(seq)) == 0
+        assert sha256(seq.read_bytes()).hexdigest() == (
+            "34e2be04d6b4a073da4ee2e698a55a91fc6a626712834ac4f84d8d050330bd95")
+        assert run("filter", "--in", str(seq), *flags, "--out", str(csv)) == 0
+        assert sha256(csv.read_bytes()).hexdigest() == digest
 
 
 class TestMetricAndShiftCommands:

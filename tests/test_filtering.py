@@ -1,16 +1,19 @@
 """Step signals, the exact filter recurrence, quadrature, and constants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unpredictable import (BINARY, Alphabet, BernoulliSpec, CoverageError,
-                           DomainError, FilterConfig, SequenceWindow,
-                           StepSignal, Trajectory, chi_exact, chi_quadrature,
+from unpredictable import (BINARY, MAX_SAMPLES, Alphabet, BernoulliSpec,
+                           CoverageError, DomainError, FilterConfig,
+                           ResourceError, SequenceWindow, StepSignal,
+                           Trajectory, chi_exact, chi_quadrature, filtering,
                            realize, separation_constants, solve_ode)
+from unpredictable.filtering import _EDGE_TOL, _check_pair, _piece_index
 
 
 def binary_window(first, bits):
@@ -283,3 +286,144 @@ def test_quadrature_matches_recurrence_everywhere(bits, seed_t):
     tr = chi_exact(s, cfg, seed_t - 40.0, seed_t, 0.0)
     q = chi_quadrature(s, cfg, float(tr.times[-1]), 40.0)
     assert abs(float(tr.values[-1]) - q.value) <= q.truncation_bound + 1e-10
+
+
+# -- the per-piece loop as a differential reference --------------------------
+
+def _chi_exact_reference(signal, config, t_start, t_end, chi_start):
+    """The piece-by-piece integrator that chi_exact replaced, kept verbatim
+    (apart from the helper imports) to pin the blocked version to it."""
+    _check_pair(signal, config)
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise DomainError("time bounds must be finite")
+    if t_end <= t_start:
+        raise DomainError("t_end must exceed t_start")
+    lam = config.decay
+    mu = signal.step
+    dt = config.sample_dt
+    n = int(math.floor((t_end - t_start) / dt + _EDGE_TOL))
+    times = t_start + dt * np.arange(n + 1)
+    values = np.empty(n + 1)
+    tol = _EDGE_TOL * mu
+    first_p = signal.sequence.first_index
+    last_p = signal.sequence.last_index
+
+    k = _piece_index(signal.origin, mu, t_start)
+    t_ref = t_start
+    chi = float(chi_start)
+    i = 0
+    total = n + 1
+    while i < total:
+        if not first_p <= k <= last_p:
+            # a sample exactly at the reference time needs no piece value
+            if np.any(times[i:] > t_ref + tol):
+                raise CoverageError(
+                    f"signal does not cover piece {k} needed near t={t_ref!r}")
+            values[i:] = chi
+            break
+        v = signal.piece_value(k)
+        b_next = signal.origin + (k + 1) * mu
+        j = int(np.searchsorted(times, b_next, side="left"))
+        if j > i:
+            decay = np.exp(-lam * (times[i:j] - t_ref))
+            values[i:j] = chi * decay + (v / lam) * (1.0 - decay)
+            i = j
+        if i < total:
+            e = math.exp(-lam * (b_next - t_ref))
+            chi = chi * e + (v / lam) * (1.0 - e)
+            t_ref = b_next
+            k += 1
+    return Trajectory(times, values)
+
+
+def assert_same_outcome(signal, cfg, t_start, t_end, chi_start):
+    """chi_exact and the reference give bit-identical samples, or the same
+    error with the same message."""
+    try:
+        want = _chi_exact_reference(signal, cfg, t_start, t_end, chi_start)
+    except CoverageError as exc:
+        with pytest.raises(CoverageError) as got:
+            chi_exact(signal, cfg, t_start, t_end, chi_start)
+        assert str(got.value) == str(exc)
+        return None
+    got = chi_exact(signal, cfg, t_start, t_end, chi_start)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.values, want.values)
+    return got
+
+
+@st.composite
+def filter_cases(draw):
+    values = draw(st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=2,
+                           max_size=5, unique=True))
+    alphabet = Alphabet(tuple(values))
+    symbols = draw(st.lists(st.sampled_from(values), min_size=1,
+                            max_size=120))
+    first = draw(st.integers(-300, 300))
+    mu = draw(st.floats(0.01, 3.0))
+    signal = StepSignal(SequenceWindow(alphabet, first, np.array(symbols)),
+                        mu, draw(st.floats(-50.0, 50.0)))
+    cfg = FilterConfig(decay=draw(st.floats(0.05, 20.0)), step=mu,
+                       sample_dt=mu / draw(st.sampled_from(
+                           [1.0, 2.0, 3.0, 7.0, 10.0, 16.5, 37.0])))
+    # start on a breakpoint or inside a piece, from one piece before the
+    # window to its end
+    piece = draw(st.integers(first - 1, signal.sequence.last_index))
+    frac = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999))
+    t_start = signal.origin + piece * mu + frac * mu
+    # end at the exact end of coverage, inside it, or past it
+    t_end = draw(st.sampled_from([signal.t_max, signal.t_max + 0.5 * mu])
+                 | st.floats(t_start + 1e-3, signal.t_max + mu))
+    if t_end <= t_start:
+        t_end = signal.t_max + mu
+    return signal, cfg, t_start, t_end, draw(st.floats(-5.0, 5.0))
+
+
+@given(case=filter_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_chi_exact_is_bitwise_the_piece_loop(case, block):
+    with mock.patch.object(filtering, "_BLOCK", block):
+        assert_same_outcome(*case)
+
+
+def test_chi_exact_bitwise_over_many_blocks():
+    alphabet = Alphabet((-1.0, 0.0, 1.0))
+    w = realize(BernoulliSpec(alphabet, (0.25, 0.5, 0.25), 3, 20000))
+    for mu, dt, lam, t_start in ((0.1, 0.01, 1.0, 0.0),
+                                 (1.0, 1.0 / 370.0, 0.7, 12.5),
+                                 (0.37, 0.37 / 8.0, 2.5, 0.37 * 5)):
+        s = StepSignal(w, mu)
+        cfg = FilterConfig(decay=lam, step=mu, sample_dt=dt)
+        tr = assert_same_outcome(s, cfg, t_start, s.t_max, 0.5)
+        assert len(tr) > 2 * filtering._BLOCK
+
+
+@pytest.mark.parametrize("t_start, t_end", [
+    (-0.1, 0.5),     # the first sample needs a piece before the window
+    (0.0, 0.75),     # the samples run out of the window halfway
+    (0.0, 1.01),     # only the last sample lies past the window
+])
+def test_chi_exact_coverage_errors_match_the_piece_loop(t_start, t_end):
+    s = make_signal([1, 0, 1, 1, 0])
+    with pytest.raises(CoverageError):
+        chi_exact(s, config_for(s), t_start, t_end, 0.0)
+    assert_same_outcome(s, config_for(s), t_start, t_end, 0.0)
+
+
+def test_chi_exact_sample_limit_raises_before_allocating():
+    s = make_signal([1] * 1000)
+    cfg = FilterConfig(decay=1.0, step=0.1, sample_dt=1e-9)
+    with pytest.raises(ResourceError):
+        chi_exact(s, cfg, 0.0, 100.0, 0.0)
+    assert MAX_SAMPLES == filtering.MAX_SAMPLES
+
+
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0], [0.0, math.inf]),
+    ([0.0, 1.0], [math.nan, 0.0]),
+    ([math.nan, math.nan], [1.0, 2.0]),
+    ([0.0, math.inf], [1.0, 2.0]),
+])
+def test_trajectory_rejects_non_finite_samples(times, values):
+    with pytest.raises(DomainError):
+        Trajectory(np.array(times), np.array(values))

@@ -93,6 +93,67 @@ def test_trajectory_digits_validation():
             format_trajectory_csv(tr, digits=bad)
 
 
+def test_bad_digits_leave_no_file(tmp_path):
+    tr = Trajectory(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    p = tmp_path / "tr.csv"
+    with pytest.raises(DomainError):
+        write_trajectory_csv(p, tr, digits=0)
+    assert not p.exists()
+
+
+def _format_trajectory_csv_reference(traj, digits=17):
+    """The one-f-string-per-row writer the blocked formatter replaced."""
+    d = int(digits)
+    if not 1 <= d <= 17:
+        raise DomainError("digits must lie in 1..17")
+    rows = "".join(f"{t:.{d}g},{v:.{d}g}\n"
+                   for t, v in zip(traj.times.tolist(), traj.values.tolist()))
+    return "t,value\n" + rows
+
+
+def _awkward_trajectories(rows):
+    """Four trajectories holding 2*rows floats between them: time grids of
+    subnormals, negatives through zero, integers and values near 1e300, and
+    values mixing those with signed zeros, 1e-300 scales and random bits."""
+    rng = np.random.default_rng(5)
+    n = rows // 4
+    bits = rng.integers(0, 1 << 63, size=n, dtype=np.int64).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, 1.5)
+    pool = [
+        rng.integers(1, 1 << 52, size=n, dtype=np.int64).view(np.float64),
+        -rng.integers(1, 1 << 52, size=n, dtype=np.int64).view(np.float64),
+        np.resize([0.0, -0.0], n),
+        rng.integers(-10 ** 6, 10 ** 6, size=n).astype(np.float64),
+        rng.integers(-2 ** 53, 2 ** 53, size=n).astype(np.float64),
+        rng.uniform(-2.0, 2.0, size=n) * 1e300,
+        rng.uniform(-2.0, 2.0, size=n) * 1e-300,
+        rng.standard_normal(n),
+        bits,
+    ]
+    values = rng.permutation(np.concatenate(pool))[:4 * n].reshape(4, n)
+    k = np.arange(n, dtype=np.float64)
+    grids = (5e-324 * k, -0.37 * n / 2 + 0.37 * k, 3.0 * k - n,
+             -1e300 + 1e294 * k)
+    return [Trajectory(t, v) for t, v in zip(grids, values)]
+
+
+@pytest.mark.parametrize("digits", [1, 9, 17])
+def test_csv_matches_the_per_row_writer(digits):
+    trajectories = _awkward_trajectories(500_000)
+    assert sum(2 * len(tr) for tr in trajectories) >= 10 ** 6
+    for tr in trajectories:
+        assert (format_trajectory_csv(tr, digits)
+                == _format_trajectory_csv_reference(tr, digits))
+
+
+def test_csv_file_matches_the_per_row_writer_across_blocks(tmp_path):
+    t = 0.01 * np.arange(70_001)
+    tr = Trajectory(t, np.sin(t) - 0.5)
+    p = tmp_path / "tr.csv"
+    write_trajectory_csv(p, tr, digits=17)
+    assert p.read_bytes() == _format_trajectory_csv_reference(tr).encode()
+
+
 @pytest.mark.parametrize("text", [
     "",
     "time,value\n0,1\n",
@@ -100,6 +161,8 @@ def test_trajectory_digits_validation():
     "t,value\n0\n",
     "t,value\n0,1,2\n",
     "t,value\n0,abc\n",
+    "t,value\nnan,1\nnan,2\n",
+    "t,value\n0,1\n1,inf\n",
 ])
 def test_malformed_trajectory_files(text):
     with pytest.raises(DomainError):
