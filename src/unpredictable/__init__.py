@@ -26,7 +26,7 @@ from .verify import (FunctionVerdict, FunctionWitness, SequenceVerdict,
                      SequenceWitness, find_function_witnesses,
                      find_sequence_witnesses, function_report,
                      orbit_return_distances, qualifying_shifts,
-                     sequence_report)
+                     sequence_report, verify_filtered)
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,6 @@ __all__ = [
     "orbit_return_distances", "parse_sequence", "parse_trajectory_csv",
     "point_symbol", "point_window", "qualifying_shifts", "read_sequence",
     "read_trajectory_csv", "realize", "separation_constants",
-    "sequence_report", "shift", "solve_ode", "write_json_report",
-    "write_sequence", "write_trajectory_csv",
+    "sequence_report", "shift", "solve_ode", "verify_filtered",
+    "write_json_report", "write_sequence", "write_trajectory_csv",
 ]

@@ -99,16 +99,14 @@ class FilterConfig:
         decay: kernel rate lambda, per unit time.
         step: piece length mu of the driving signal.
         sample_dt: spacing of trajectory samples, at most ``step``.
-        tolerance: numeric slack callers use when cross-checking results.
     """
 
     decay: float = 1.0
     step: float = 0.1
     sample_dt: float = 0.01
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("decay", "step", "sample_dt", "tolerance"):
+        for name in ("decay", "step", "sample_dt"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be a positive real")

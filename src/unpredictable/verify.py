@@ -23,13 +23,15 @@ numbers needed to re-check it from the raw data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CoverageError, DomainError, ResolutionError
-from .filtering import Trajectory, _EDGE_TOL
+from .filtering import (_EDGE_TOL, FilterConfig, StepSignal, Trajectory,
+                        chi_exact, separation_constants)
 from .symbolspace import SequenceWindow
 
 _VERDICTS = ("consistent", "inconsistent", "inconclusive")
@@ -98,8 +100,8 @@ def qualifying_shifts(seq: SequenceWindow, half_width: int,
         CoverageError: the window cannot hold [-L, L] and one shifted copy.
     """
     L = _base_checks(seq, half_width)
-    if tolerance < 0:
-        raise DomainError("tolerance must be nonnegative")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError("tolerance must be finite and nonnegative")
     v = seq.symbols
     base = seq.segment(-L, L)
     width = 2 * L + 1
@@ -133,8 +135,8 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
         CoverageError: the window cannot hold [-L, L] and one shifted copy.
     """
     L = _base_checks(seq, window_half_width)
-    if not epsilon0 > 0:
-        raise DomainError("epsilon0 must be positive")
+    if not (math.isfinite(epsilon0) and epsilon0 > 0):
+        raise DomainError("epsilon0 must be finite and positive")
     if int(count) < 1:
         raise DomainError("count must be a positive integer")
 
@@ -246,12 +248,12 @@ def find_function_witnesses(h: Trajectory | Callable,
     alpha, beta = float(compact[0]), float(compact[1])
     if not alpha < beta:
         raise DomainError("compact interval bounds out of order")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
-    if tolerance < 0:
-        raise DomainError("tolerance must be nonnegative")
-    if not epsilon0 > 0:
-        raise DomainError("epsilon0 must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError("sigma must be finite and positive")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError("tolerance must be finite and nonnegative")
+    if not (math.isfinite(epsilon0) and epsilon0 > 0):
+        raise DomainError("epsilon0 must be finite and positive")
     shifts = sorted(float(s) for s in t_shift_candidates)
     if not shifts:
         raise DomainError("need at least one shift candidate")
@@ -323,12 +325,7 @@ def sequence_report(seq: SequenceWindow, result: SequenceVerdict, *,
         "verdict": result.verdict,
         "epsilon0_requested": epsilon0,
         "epsilon0_achieved": result.epsilon0_achieved,
-        "witnesses": [
-            {"zeta": w.zeta, "eta": w.eta,
-             "window": [w.window[0], w.window[1]],
-             "max_window_error": w.max_window_error,
-             "separation": w.separation}
-            for w in result.witnesses],
+        "witnesses": [asdict(w) for w in result.witnesses],
         "data_coverage": {"first_index": seq.first_index,
                           "last_index": seq.last_index},
         "parameters": {"window_half_width": int(window_half_width),
@@ -347,11 +344,58 @@ def function_report(result: FunctionVerdict, *, epsilon0_requested: float,
         "epsilon0_requested": epsilon0_requested,
         "separation_achieved": result.separation_achieved,
         "separation_predicted_lower_bound": predicted_lower_bound,
-        "witnesses": [
-            {"t_shift": w.t_shift, "u_center": w.u_center, "sigma": w.sigma,
-             "max_compact_error": w.max_compact_error,
-             "min_separation_on_interval": w.min_separation_on_interval}
-            for w in result.witnesses],
+        "witnesses": [asdict(w) for w in result.witnesses],
         "data_coverage": {"t_min": domain[0], "t_max": domain[1]},
         "parameters": parameters,
     }
+
+
+def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
+                    phi0: float, burn_in: float, compact: tuple[float, float],
+                    sigma: float | None = None, sample_dt: float | None = None,
+                    tolerance: float | None = None,
+                    epsilon0: float | None = None,
+                    shifts: Sequence[float] | None = None,
+                    half_width: int, auto_shifts: int) -> dict:
+    """Filter ``seq`` and return the :func:`function_report` of its search:
+    the library form of ``unpredictable verify-fn``, one keyword per flag.
+
+    ``None`` derives sigma = min(kappa_i, kappa_ii)/2, sample_dt = sigma/8,
+    epsilon0 = alphabet epsilon0/24, shifts = zeta*mu of ``auto_shifts``
+    sequence witnesses at ``half_width``, and tolerance = A*e^(-decay*burn_in)
+    plus, for derived shifts, A*e^(-decay*half_width*mu), A = 2 sup|pi|/decay.
+    The filter spans [-burn_in, compact[1] + max shift + 4*sigma].
+    """
+    eps_alpha = seq.alphabet.epsilon0
+    constants = separation_constants(eps_alpha)
+    if sigma is None:
+        sigma = min(constants.kappa_i, constants.kappa_ii) / 2.0
+    dt = sample_dt if sample_dt is not None else sigma / 8.0
+    if epsilon0 is None:
+        epsilon0 = constants.lower_bound
+    auto = shifts is None
+    if auto:
+        coarse = find_sequence_witnesses(seq, half_width, 0.0,
+                                         eps_alpha, auto_shifts)
+        if not coarse.witnesses:
+            raise DomainError("no qualifying integer shifts found to test")
+        shifts = [w.zeta * mu for w in coarse.witnesses]
+    signal = StepSignal(seq, mu)
+    if tolerance is None:
+        amp = 2.0 * signal.sup_abs / decay
+        tolerance = amp * math.exp(-decay * burn_in)
+        if auto:
+            tolerance += amp * math.exp(-decay * half_width * mu)
+    config = FilterConfig(decay=decay, step=mu, sample_dt=dt)
+    t_hi = compact[1] + max(shifts, default=0.0) + 4.0 * sigma
+    traj = chi_exact(signal, config, -burn_in, t_hi, phi0)
+    result = find_function_witnesses(traj, shifts, compact, sigma,
+                                     tolerance, epsilon0, sample_dt=dt)
+    return function_report(
+        result, epsilon0_requested=epsilon0,
+        predicted_lower_bound=constants.lower_bound,
+        domain=(traj.t_start, traj.t_end),
+        parameters={"mu": mu, "decay": decay, "phi0": phi0,
+                    "burn_in": burn_in, "compact": list(compact),
+                    "sigma": sigma, "sample_dt": dt, "tolerance": tolerance,
+                    "t_shift_candidates": list(shifts)})

@@ -6,7 +6,7 @@ from hashlib import sha256
 import numpy as np
 import pytest
 
-from unpredictable import read_sequence, read_trajectory_csv
+from unpredictable import read_sequence, read_trajectory_csv, verify_filtered
 from unpredictable.cli import main
 
 
@@ -237,3 +237,70 @@ class TestVerifyCommands:
                        "--alpha", "0", "--beta", "2", "--burn-in", "6",
                        "--tolerance", "0.05", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def windows(tmp_path_factory):
+    """i* windows [-4096, 4095] and [-64, 191], and the first shifted by 3."""
+    d = tmp_path_factory.mktemp("windows")
+    paths = {name: str(d / f"{name}.seq")
+             for name in ("big", "small", "moved")}
+    assert run("point", "--first", "-4096", "--length", "8192",
+               "--out", paths["big"]) == 0
+    assert run("point", "--first", "-64", "--length", "256",
+               "--out", paths["small"]) == 0
+    assert run("shift", "--in", paths["big"], "--times", "3",
+               "--out", paths["moved"]) == 0
+    return paths
+
+
+FIXED_SHIFT = ("--mu", "1", "--shifts", "34", "--integer-shifts",
+               "--beta", "2", "--burn-in", "6")
+
+
+class TestReports:
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify-seq", "--in", "{big}", "--half-width", "4",
+          "--epsilon0", "1", "--count", "3"),
+         "31458c7ba9e4504e1dd37b4025135176bfbc224bcea69c1cb8d46c106aecc3bc"),
+        (("verify-fn", "--in", "{big}", "--mu", "1"),
+         "28d86cc3c1a61cdd7b71d51888dfb65a1cf99c8b0749713cd3b66a94c213976d"),
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--tolerance", "0.05"),
+         "335c630c6da2bcc61538fa085985b7e27d9650ff17241b63d49103029d37c76d"),
+        (("metric", "--a", "{big}", "--b", "{moved}", "--half-width", "16"),
+         "e2b6e1e0b0de1a22f4ba9528359fc2192c677175e72a4d2613ab9466c500dc8b"),
+    ])
+    def test_golden_bytes(self, tmp_path, windows, argv, digest):
+        # digests of the reports as written while the CLI held the policy
+        # and copied witness fields into the reports by hand
+        out = tmp_path / "report.json"
+        argv = [a.format(**windows) for a in argv]
+        assert run(*argv, "--out", str(out)) == 0
+        assert sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_library_report_equals_cli(self, tmp_path, windows):
+        out = tmp_path / "fn.json"
+        assert run("verify-fn", "--in", windows["big"], "--mu", "1",
+                   "--out", str(out)) == 0
+        report = verify_filtered(
+            read_sequence(windows["big"]), mu=1.0, decay=1.0, phi0=0.5,
+            burn_in=8.0, compact=(0.0, 4.0), half_width=4, auto_shifts=3)
+        assert report == json.loads(out.read_text())
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--tolerance", "nan"),
+         "tolerance must be finite"),
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "inf",
+          "--dt", "0.001"), "finite"),
+        (("verify-seq", "--in", "{big}", "--half-width", "4",
+          "--epsilon0", "inf"), "epsilon0 must be finite"),
+        (("verify-fn", "--in", "{small}", "--mu", "1", "--shifts="),
+         "comma-separated"),
+    ])
+    def test_rejected_parameters_map_to_1(self, tmp_path, capsys, windows,
+                                          argv, message):
+        out = tmp_path / "report.json"
+        argv = [a.format(**windows) for a in argv]
+        assert run(*argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -228,7 +228,7 @@ class TestFilterConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("decay", 0.0), ("decay", -1.0), ("step", -0.1),
-        ("sample_dt", 0.0), ("tolerance", 0.0),
+        ("sample_dt", 0.0),
     ])
     def test_positivity(self, field, value):
         kwargs = {"step": 1.0, "sample_dt": 0.5}

@@ -11,7 +11,8 @@ from unpredictable import (BINARY, BernoulliSpec, CoverageError, DomainError,
                            StepSignal, Trajectory, chi_exact,
                            find_function_witnesses, find_sequence_witnesses,
                            orbit_return_distances, point_window,
-                           qualifying_shifts, realize, separation_constants)
+                           qualifying_shifts, realize, separation_constants,
+                           verify_filtered)
 
 
 def binary_window(first, bits):
@@ -89,6 +90,16 @@ class TestSequenceSearch:
             find_sequence_witnesses(point_64k, 4, 0.0, 1.0, 0)
         with pytest.raises(DomainError):
             find_sequence_witnesses(point_64k, 0, 0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters(self, point_64k, bad):
+        # a NaN tolerance used to reject every shift, an inf one to pass all
+        with pytest.raises(DomainError):
+            qualifying_shifts(point_64k, 4, bad)
+        with pytest.raises(DomainError):
+            find_sequence_witnesses(point_64k, 4, bad, 1.0, 1)
+        with pytest.raises(DomainError):
+            find_sequence_witnesses(point_64k, 4, 0.0, bad, 1)
 
 
 class TestQualifyingShifts:
@@ -247,3 +258,44 @@ class TestFunctionSearch:
         with pytest.raises(DomainError):
             find_function_witnesses(tr, [], (0.0, 4.0), sigma=0.5,
                                     tolerance=1.0, epsilon0=0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["sigma", "tolerance", "epsilon0"])
+    def test_non_finite_parameters(self, name, bad):
+        params = {"sigma": 0.5, "tolerance": 1.0, "epsilon0": 0.1, name: bad}
+        with pytest.raises(DomainError):
+            find_function_witnesses(flat_trajectory(), [1.0], (0.0, 4.0),
+                                    **params)
+
+
+#: verify-fn's flag defaults, except a shorter burn-in and compact
+FLAGS = dict(mu=1.0, decay=1.0, phi0=0.5, burn_in=6.0, compact=(0.0, 2.0),
+             half_width=4, auto_shifts=3)
+
+
+class TestVerifyFiltered:
+    def test_derived_defaults(self):
+        seq = point_window(-4096, 8192)
+        c = separation_constants(1.0)
+        sigma = min(c.kappa_i, c.kappa_ii) / 2.0
+        fixed = verify_filtered(seq, shifts=[34.0], **FLAGS)
+        auto = verify_filtered(seq, **FLAGS)
+        assert fixed["epsilon0_requested"] == c.lower_bound
+        assert fixed["parameters"]["sigma"] == sigma
+        assert fixed["parameters"]["sample_dt"] == sigma / 8.0
+        # amp = 2 sup|pi| / lambda: burn-in transient, plus the history
+        # beyond the matched half-width when the shifts are derived
+        burn = 2.0 * math.exp(-6.0)
+        assert fixed["parameters"]["tolerance"] == pytest.approx(burn)
+        assert auto["parameters"]["tolerance"] == pytest.approx(
+            burn + 2.0 * math.exp(-4.0))
+        zetas = [w.zeta for w in find_sequence_witnesses(
+            seq, 4, 0.0, 1.0, 3).witnesses]
+        assert auto["parameters"]["t_shift_candidates"] == zetas
+        assert auto["data_coverage"]["t_min"] == -6.0
+        assert auto["data_coverage"]["t_max"] == pytest.approx(
+            2.0 + zetas[-1] + 4.0 * sigma, abs=sigma / 8.0)
+
+    def test_empty_shift_list_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            verify_filtered(point_window(-64, 256), shifts=[], **FLAGS)
