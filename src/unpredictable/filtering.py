@@ -116,30 +116,48 @@ class FilterConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled scalar function of time."""
+    """Uniformly sampled scalar function of time.
+
+    ``times`` and ``values`` are read-only views of a private copy of the
+    samples; :meth:`at` interpolates that copy itself (``np.interp`` copies
+    read-only inputs on every call), so a query costs O(len(q)) memory.
+    """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
+        self._adopt(np.array(self.times, dtype=np.float64),
+                    np.array(self.values, dtype=np.float64))
+
+    @classmethod
+    def _owning(cls, times: np.ndarray, values: np.ndarray) -> "Trajectory":
+        """Trajectory that takes over arrays no one else references."""
+        self = object.__new__(cls)
+        self._adopt(times, values)
+        return self
+
+    def _adopt(self, t: np.ndarray, v: np.ndarray) -> None:
         if t.ndim != 1 or t.size < 1 or t.shape != v.shape:
             raise DomainError("times and values must be 1-d arrays "
                               "of equal, nonzero length")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise DomainError("times and values must be finite")
         if t.size > 1:
-            gaps = np.diff(t)
-            if np.any(gaps <= 0):
+            lo, hi = math.inf, -math.inf
+            for i in range(0, t.size - 1, _BLOCK):
+                gaps = np.diff(t[i:i + _BLOCK + 1])
+                lo, hi = min(lo, float(gaps.min())), max(hi, float(gaps.max()))
+            if lo <= 0:
                 raise DomainError("times must be strictly increasing")
-            scale = max(1.0, float(np.max(np.abs(t))))
-            if float(np.max(gaps) - np.min(gaps)) > _UNIFORM_TOL * scale:
+            scale = max(1.0, abs(float(t[0])), abs(float(t[-1])))
+            if hi - lo > _UNIFORM_TOL * scale:
                 raise DomainError("sample spacing must be uniform")
-        for arr, name in ((t, "times"), (v, "values")):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, arr in (("times", t), ("values", v)):
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, "_" + name, arr)
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -169,7 +187,7 @@ class Trajectory:
         if np.any(q < self.t_start - slack) or np.any(q > self.t_end + slack):
             raise CoverageError("requested time outside the sampled span")
         return np.interp(np.clip(q, self.t_start, self.t_end),
-                         self.times, self.values)
+                         self._times, self._values)
 
 
 class QuadratureResult(NamedTuple):
@@ -284,7 +302,7 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
             raise CoverageError(
                 f"signal does not cover piece {k} needed near t={t_ref!r}")
         values[covered:] = chi
-    return Trajectory(times, values)
+    return Trajectory._owning(times, values)
 
 
 def solve_ode(signal: StepSignal, config: FilterConfig, phi0: float,

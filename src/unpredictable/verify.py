@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CoverageError, DomainError, ResolutionError
-from .filtering import (_EDGE_TOL, FilterConfig, StepSignal, Trajectory,
-                        chi_exact, separation_constants)
+from .filtering import (_BLOCK, _EDGE_TOL, FilterConfig, StepSignal,
+                        Trajectory, chi_exact, separation_constants)
 from .symbolspace import SequenceWindow
 
 _VERDICTS = ("consistent", "inconsistent", "inconclusive")
@@ -214,7 +214,41 @@ def _as_evaluator(h, domain):
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise DomainError("domain bounds out of order")
-    return h, (lo, hi)
+
+    def finite(t: np.ndarray) -> np.ndarray:
+        out = np.asarray(h(t), dtype=np.float64)
+        if not np.all(np.isfinite(out)):
+            raise DomainError("the function returned a non-finite value")
+        return out
+
+    return finite, (lo, hi)
+
+
+def _sliding_min(x: np.ndarray, win: int) -> np.ndarray:
+    """min(x[i:i + win]) for every full window, by doubling the width."""
+    width = 1
+    while 2 * width <= win:
+        x = np.minimum(x[:-width], x[width:])
+        width *= 2
+    if width < win:
+        # two overlapping windows of the power-of-two width cover win
+        x = np.minimum(x[:width - win], x[win - width:])
+    return x
+
+
+def _search_spacing(sigma: float, tolerance: float, epsilon0: float,
+                    sample_dt: float | None) -> float:
+    """Check the function search's parameters; return its grid spacing."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError("sigma must be finite and positive")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError("tolerance must be finite and nonnegative")
+    if not (math.isfinite(epsilon0) and epsilon0 > 0):
+        raise DomainError("epsilon0 must be finite and positive")
+    dt = sigma / 8.0 if sample_dt is None else float(sample_dt)
+    if dt > sigma / 8.0 * (1.0 + _EDGE_TOL):
+        raise ResolutionError("sample_dt must be at most sigma / 8")
+    return dt
 
 
 def find_function_witnesses(h: Trajectory | Callable,
@@ -233,8 +267,10 @@ def find_function_witnesses(h: Trajectory | Callable,
     spacing ``sample_dt``.  For each qualifying shift the search looks for a
     center u with min over [u - sigma, u + sigma] of |h(t + T) - h(t)| at
     least ``epsilon0``, taking the best center later than the previous
-    witness's.  ``h`` may be a :class:`Trajectory` or a vectorized callable
-    with an explicit ``domain``.
+    witness's (the first on ties), in blocks of ``_BLOCK`` centers from there
+    on, so memory is bounded by the block size, not by the domain.  ``h``
+    may be a :class:`Trajectory` or a vectorized callable with an explicit
+    ``domain``.
 
     ``separation_achieved`` is the best interval separation seen across
     qualifying shifts even when it falls short of ``epsilon0``.
@@ -242,71 +278,65 @@ def find_function_witnesses(h: Trajectory | Callable,
     Raises:
         ResolutionError: sample_dt exceeds sigma / 8.
         CoverageError: the domain cannot hold [a, b + max shift].
-        DomainError: a parameter is out of range.
+        DomainError: a parameter is out of range, or the callable returns
+            NaN or inf.
     """
     func, (d_lo, d_hi) = _as_evaluator(h, domain)
     alpha, beta = float(compact[0]), float(compact[1])
     if not alpha < beta:
         raise DomainError("compact interval bounds out of order")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise DomainError("sigma must be finite and positive")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise DomainError("tolerance must be finite and nonnegative")
-    if not (math.isfinite(epsilon0) and epsilon0 > 0):
-        raise DomainError("epsilon0 must be finite and positive")
     shifts = sorted(float(s) for s in t_shift_candidates)
     if not shifts:
         raise DomainError("need at least one shift candidate")
     if shifts[0] <= 0:
         raise DomainError("shift candidates must be positive")
-    dt = sigma / 8.0 if sample_dt is None else float(sample_dt)
-    if dt > sigma / 8.0 * (1.0 + _EDGE_TOL):
-        raise ResolutionError("sample_dt must be at most sigma / 8")
+    dt = _search_spacing(sigma, tolerance, epsilon0, sample_dt)
     if alpha < d_lo - _EDGE_TOL * dt or beta + shifts[-1] > d_hi + _EDGE_TOL * dt:
         raise CoverageError(
             f"domain [{d_lo}, {d_hi}] cannot hold "
             f"[{alpha}, {beta + shifts[-1]}]")
 
-    # one master grid, reused for every shift
-    m = int(np.floor((d_hi - alpha) / dt + _EDGE_TOL))
-    grid = alpha + dt * np.arange(m + 1)
-    h_grid = np.asarray(func(grid), dtype=np.float64)
     n_compact = int(np.floor((beta - alpha) / dt + _EDGE_TOL)) + 1
     win = int(round(2.0 * sigma / dt)) + 1
+    compact_grid = alpha + dt * np.arange(n_compact)
+    h_compact = func(compact_grid)
 
     witnesses: list[FunctionWitness] = []
     best_overall = 0.0
     any_qualifying = False
     last_u = -np.inf
+    start = 0    # centres grow with the index; none before start is > last_u
 
     for shift in shifts:
         usable = int(np.floor((d_hi - shift - alpha) / dt + _EDGE_TOL)) + 1
         if usable < max(n_compact, win):
             continue
-        h_shifted = np.asarray(func(grid[:usable] + shift), dtype=np.float64)
-        diff = np.abs(h_shifted - h_grid[:usable])
-        compact_err = float(np.max(diff[:n_compact]))
+        compact_err = float(np.max(np.abs(func(compact_grid + shift)
+                                          - h_compact)))
         if compact_err > tolerance:
             continue
         any_qualifying = True
-        # sliding minimum of |h(t + shift) - h(t)| over 2*sigma windows
-        n_win = usable - win + 1
-        mins = diff[:n_win].copy()
-        for j in range(1, win):
-            np.minimum(mins, diff[j:j + n_win], out=mins)
-        centers = grid[:n_win] + sigma
-        allowed = centers > last_u
-        if not np.any(allowed):
+        # first maximum over allowed centres of the sliding minimum of
+        # |h(t + shift) - h(t)| over 2*sigma windows, a block at a time
+        sep, best, u = -np.inf, -1, last_u
+        for lo in range(start, usable - win + 1, _BLOCK):
+            grid = alpha + dt * np.arange(lo, min(lo + _BLOCK + win - 1,
+                                                  usable))
+            mins = _sliding_min(np.abs(func(grid + shift) - func(grid)), win)
+            centers = grid[:mins.size] + sigma
+            idx = np.flatnonzero(centers > last_u)
+            i = idx[int(np.argmax(mins[idx]))] if idx.size else -1
+            if i >= 0 and mins[i] > sep:
+                sep, best, u = float(mins[i]), lo + int(i), float(centers[i])
+        if best < 0:
             continue
-        idx = np.flatnonzero(allowed)
-        best = idx[int(np.argmax(mins[idx]))]
-        best_overall = max(best_overall, float(mins[best]))
-        if mins[best] >= epsilon0:
+        best_overall = max(best_overall, sep)
+        if sep >= epsilon0:
             witnesses.append(FunctionWitness(
-                t_shift=shift, u_center=float(centers[best]), sigma=sigma,
+                t_shift=shift, u_center=u, sigma=sigma,
                 max_compact_error=compact_err,
-                min_separation_on_interval=float(mins[best])))
-            last_u = float(centers[best])
+                min_separation_on_interval=sep))
+            last_u, start = u, best + 1
 
     if witnesses:
         verdict = "consistent"
@@ -373,6 +403,7 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     dt = sample_dt if sample_dt is not None else sigma / 8.0
     if epsilon0 is None:
         epsilon0 = constants.lower_bound
+    config = FilterConfig(decay=decay, step=mu, sample_dt=dt)
     auto = shifts is None
     if auto:
         coarse = find_sequence_witnesses(seq, half_width, 0.0,
@@ -386,7 +417,8 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
         tolerance = amp * math.exp(-decay * burn_in)
         if auto:
             tolerance += amp * math.exp(-decay * half_width * mu)
-    config = FilterConfig(decay=decay, step=mu, sample_dt=dt)
+    # fail before the integration, not after it
+    _search_spacing(sigma, tolerance, epsilon0, dt)
     t_hi = compact[1] + max(shifts, default=0.0) + 4.0 * sigma
     traj = chi_exact(signal, config, -burn_in, t_hi, phi0)
     result = find_function_witnesses(traj, shifts, compact, sigma,

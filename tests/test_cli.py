@@ -296,6 +296,10 @@ class TestReports:
           "--epsilon0", "inf"), "epsilon0 must be finite"),
         (("verify-fn", "--in", "{small}", "--mu", "1", "--shifts="),
          "comma-separated"),
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "inf",
+          "--dt", "0.001"), "sigma must be finite"),
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--lambda", "0"),
+         "decay must be a positive real"),
     ])
     def test_rejected_parameters_map_to_1(self, tmp_path, capsys, windows,
                                           argv, message):

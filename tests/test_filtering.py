@@ -1,6 +1,7 @@
 """Step signals, the exact filter recurrence, quadrature, and constants."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,49 @@ class TestTrajectory:
         tr = Trajectory(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(CoverageError):
             tr.at(1.5)
+
+    def test_owns_read_only_samples(self):
+        t, v = np.arange(5.0), np.arange(5.0) ** 2
+        tr = Trajectory(t, v)
+        t[:] = v[:] = -1.0
+        assert np.array_equal(tr.times, np.arange(5.0))
+        assert np.array_equal(tr.values, np.arange(5.0) ** 2)
+        # chi_exact hands its own arrays over without a copy
+        s = make_signal([1, 0, 1])
+        filtered = chi_exact(s, config_for(s), 0.0, 0.3, 0.0)
+        for arr in (tr.times, tr.values, filtered.times, filtered.values):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_spacing_is_checked_across_blocks(self, block):
+        # a bad gap in any position, including on a block boundary
+        with mock.patch.object(filtering, "_BLOCK", block):
+            for j in range(1, 7):
+                t = np.arange(7.0)
+                t[j:] += 0.5
+                with pytest.raises(DomainError, match="uniform"):
+                    Trajectory(t, np.zeros(7))
+                t[j:] -= 2.0
+                with pytest.raises(DomainError, match="increasing"):
+                    Trajectory(t, np.zeros(7))
+
+    def test_at_allocates_only_per_query(self):
+        # np.interp copies read-only sample arrays on every call; at must
+        # not, so 65536 queries stay far below one 32 MB sample array
+        n = 1 << 22
+        t = 0.25 * np.arange(n)
+        v = np.sin(t)
+        tr = Trajectory(t, v)
+        q = np.linspace(1.0, t[-1] - 1.0, 1 << 16)
+        tracemalloc.start()
+        try:
+            got = tr.at(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert np.array_equal(got, np.interp(q, t, v))
 
 
 class TestChiExact:
@@ -408,6 +452,20 @@ def test_chi_exact_coverage_errors_match_the_piece_loop(t_start, t_end):
     with pytest.raises(CoverageError):
         chi_exact(s, config_for(s), t_start, t_end, 0.0)
     assert_same_outcome(s, config_for(s), t_start, t_end, 0.0)
+
+
+def test_chi_exact_allocates_its_samples_once():
+    # times and values, plus block temporaries: no copy of either array
+    s = make_signal([1, 0, 0, 1] * 8192, mu=1.0)
+    cfg = FilterConfig(decay=1.0, step=1.0, sample_dt=1.0 / 64.0)
+    tracemalloc.start()
+    try:
+        tr = chi_exact(s, cfg, 0.0, s.t_max, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr) > 1 << 21
+    assert peak < 2.5 * 8 * len(tr)
 
 
 def test_chi_exact_sample_limit_raises_before_allocating():

@@ -2,9 +2,12 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unpredictable import (BINARY, BernoulliSpec, CoverageError, DomainError,
                            FilterConfig, ResolutionError, SequenceWindow,
@@ -12,7 +15,10 @@ from unpredictable import (BINARY, BernoulliSpec, CoverageError, DomainError,
                            find_function_witnesses, find_sequence_witnesses,
                            orbit_return_distances, point_window,
                            qualifying_shifts, realize, separation_constants,
-                           verify_filtered)
+                           verify, verify_filtered)
+from unpredictable.filtering import _EDGE_TOL
+from unpredictable.verify import (FunctionVerdict, FunctionWitness,
+                                  _sliding_min)
 
 
 def binary_window(first, bits):
@@ -267,6 +273,20 @@ class TestFunctionSearch:
             find_function_witnesses(flat_trajectory(), [1.0], (0.0, 4.0),
                                     **params)
 
+    @pytest.mark.parametrize("h", [
+        lambda t: np.full_like(t, np.nan),
+        lambda t: np.full_like(t, np.inf),
+        # NaN only past the compact, where the centre scan first looks
+        lambda t: np.where(t > 10.0, np.nan, np.sin(t)),
+    ])
+    def test_non_finite_callable_values(self, h):
+        # NaN > tolerance is false, so a NaN compact error used to qualify
+        # the shift and give a false "inconsistent"
+        with pytest.raises(DomainError):
+            find_function_witnesses(h, [2.0 * math.pi], (0.0, 4.0),
+                                    sigma=0.05, tolerance=1e-9,
+                                    epsilon0=0.01, domain=(0.0, 40.0))
+
 
 #: verify-fn's flag defaults, except a shorter burn-in and compact
 FLAGS = dict(mu=1.0, decay=1.0, phi0=0.5, burn_in=6.0, compact=(0.0, 2.0),
@@ -299,3 +319,185 @@ class TestVerifyFiltered:
     def test_empty_shift_list_is_a_domain_error(self):
         with pytest.raises(DomainError):
             verify_filtered(point_window(-64, 256), shifts=[], **FLAGS)
+
+    @pytest.mark.parametrize("params", [
+        {"tolerance": math.nan},
+        {"epsilon0": math.inf},
+        {"sigma": math.inf, "sample_dt": 0.001},
+        {"sigma": 0.01, "sample_dt": 0.01},     # coarser than sigma / 8
+    ])
+    def test_parameters_are_checked_before_filtering(self, params):
+        with mock.patch.object(verify, "chi_exact",
+                               side_effect=AssertionError("integrated")):
+            with pytest.raises((DomainError, ResolutionError)):
+                verify_filtered(point_window(-64, 256), shifts=[34.0],
+                                **params, **FLAGS)
+
+
+# -- the dense scan as a differential reference ------------------------------
+
+def _find_function_witnesses_reference(h, t_shift_candidates, compact, sigma,
+                                       tolerance, epsilon0, sample_dt=None,
+                                       domain=None):
+    """The whole-range search that the blocked scan replaced, kept verbatim
+    (apart from inlining the old evaluator) to pin the blocked one to it."""
+    if isinstance(h, Trajectory):
+        func, (d_lo, d_hi) = h.at, (h.t_start, h.t_end)
+    else:
+        if domain is None:
+            raise DomainError("a callable needs an explicit domain=(lo, hi)")
+        func, (d_lo, d_hi) = h, (float(domain[0]), float(domain[1]))
+        if not d_lo < d_hi:
+            raise DomainError("domain bounds out of order")
+    alpha, beta = float(compact[0]), float(compact[1])
+    if not alpha < beta:
+        raise DomainError("compact interval bounds out of order")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError("sigma must be finite and positive")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError("tolerance must be finite and nonnegative")
+    if not (math.isfinite(epsilon0) and epsilon0 > 0):
+        raise DomainError("epsilon0 must be finite and positive")
+    shifts = sorted(float(s) for s in t_shift_candidates)
+    if not shifts:
+        raise DomainError("need at least one shift candidate")
+    if shifts[0] <= 0:
+        raise DomainError("shift candidates must be positive")
+    dt = sigma / 8.0 if sample_dt is None else float(sample_dt)
+    if dt > sigma / 8.0 * (1.0 + _EDGE_TOL):
+        raise ResolutionError("sample_dt must be at most sigma / 8")
+    if alpha < d_lo - _EDGE_TOL * dt or beta + shifts[-1] > d_hi + _EDGE_TOL * dt:
+        raise CoverageError(
+            f"domain [{d_lo}, {d_hi}] cannot hold "
+            f"[{alpha}, {beta + shifts[-1]}]")
+
+    # one master grid, reused for every shift
+    m = int(np.floor((d_hi - alpha) / dt + _EDGE_TOL))
+    grid = alpha + dt * np.arange(m + 1)
+    h_grid = np.asarray(func(grid), dtype=np.float64)
+    n_compact = int(np.floor((beta - alpha) / dt + _EDGE_TOL)) + 1
+    win = int(round(2.0 * sigma / dt)) + 1
+
+    witnesses = []
+    best_overall = 0.0
+    any_qualifying = False
+    last_u = -np.inf
+
+    for shift in shifts:
+        usable = int(np.floor((d_hi - shift - alpha) / dt + _EDGE_TOL)) + 1
+        if usable < max(n_compact, win):
+            continue
+        h_shifted = np.asarray(func(grid[:usable] + shift), dtype=np.float64)
+        diff = np.abs(h_shifted - h_grid[:usable])
+        compact_err = float(np.max(diff[:n_compact]))
+        if compact_err > tolerance:
+            continue
+        any_qualifying = True
+        # sliding minimum of |h(t + shift) - h(t)| over 2*sigma windows
+        n_win = usable - win + 1
+        mins = diff[:n_win].copy()
+        for j in range(1, win):
+            np.minimum(mins, diff[j:j + n_win], out=mins)
+        centers = grid[:n_win] + sigma
+        allowed = centers > last_u
+        if not np.any(allowed):
+            continue
+        idx = np.flatnonzero(allowed)
+        best = idx[int(np.argmax(mins[idx]))]
+        best_overall = max(best_overall, float(mins[best]))
+        if mins[best] >= epsilon0:
+            witnesses.append(FunctionWitness(
+                t_shift=shift, u_center=float(centers[best]), sigma=sigma,
+                max_compact_error=compact_err,
+                min_separation_on_interval=float(mins[best])))
+            last_u = float(centers[best])
+
+    if witnesses:
+        verdict = "consistent"
+    elif any_qualifying:
+        verdict = "inconsistent"
+    else:
+        verdict = "inconclusive"
+    return FunctionVerdict(tuple(witnesses), best_overall, verdict)
+
+
+def _outcome(search, h, shifts, compact, sigma, tolerance, epsilon0,
+             sample_dt, domain):
+    try:
+        return search(h, shifts, compact, sigma, tolerance, epsilon0,
+                      sample_dt=sample_dt, domain=domain)
+    except (CoverageError, DomainError, ResolutionError) as exc:
+        return type(exc)
+
+
+@st.composite
+def search_cases(draw):
+    """A uniform trajectory (or its interpolant as a callable) and a search
+    whose grid, window and shifts are drawn in units of the search spacing;
+    quantized values make plateaus, so the first-maximum rule is tested."""
+    dt = draw(st.floats(0.01, 1.0))
+    win = draw(st.integers(17, 41))
+    sigma = (win - 1) * dt / 2.0
+    n_grid = draw(st.integers(win, 320))
+    traj_dt = dt * draw(st.sampled_from([0.5, 1.0, 1.7, 3.0]))
+    t0 = draw(st.floats(-20.0, 20.0))
+    n = int(n_grid * dt / traj_dt) + 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(0, draw(st.integers(1, 4)), n) * 0.5
+    else:
+        values = rng.uniform(-1.0, 1.0, n)
+    if draw(st.booleans()):
+        # a fading envelope puts each best centre early, so that later
+        # shifts still find allowed centres and witnesses chain up
+        values = values * np.exp(-4.0 * np.arange(n) / n)
+    tr = Trajectory(t0 + traj_dt * np.arange(n), values)
+    alpha = t0 + dt * draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 5.0))
+    beta = alpha + dt * draw(st.floats(0.5, 20.0))
+    room = max((tr.t_end - beta) / dt, 1.0)
+    # mostly shifts that leave room for a window, some that need more data
+    shifts = draw(st.lists(st.floats(0.2, max(room - win, 0.5))
+                           | st.floats(0.2, room * 1.05),
+                           min_size=1, max_size=5, unique=True))
+    h, domain = tr, None
+    if draw(st.booleans()):
+        times, vals = tr.times.copy(), tr.values.copy()
+        h = lambda t: np.interp(t, times, vals)  # noqa: E731
+        domain = (tr.t_start, tr.t_end - dt * draw(st.floats(0.0, 3.0)))
+    return (h, [s * dt for s in shifts], (alpha, beta), sigma,
+            draw(st.sampled_from([0.0, 0.05, 0.5, 1e9, 1e9, 1e9])),
+            draw(st.sampled_from([1e-6, 1e-6, 0.05, 0.3, 1.0])),
+            draw(st.sampled_from([dt, None])) if win == 17 else dt, domain)
+
+
+@given(case=search_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_blocked_search_equals_the_dense_scan(case, block):
+    want = _outcome(_find_function_witnesses_reference, *case)
+    with mock.patch.object(verify, "_BLOCK", block):
+        got = _outcome(find_function_witnesses, *case)
+    assert got == want
+
+
+def test_blocked_search_equals_the_dense_scan_on_the_point(filtered_point):
+    tr, result, constants = filtered_point
+    # the first L=4 return shifts; 2206, 2610 and 3018 qualify at this
+    # tolerance, 2610 must look past u = 161 where 2206 found its witness,
+    # and 3018 has no centre left after 2610's at u = 333
+    args = (tr, [34.0, 1314.0, 2206.0, 2610.0, 3018.0], (0.0, 4.0),
+            constants.kappa_ii / 2.0, 0.01, constants.lower_bound)
+    want = _find_function_witnesses_reference(*args)
+    assert [w.t_shift for w in want.witnesses] == [2206.0, 2610.0]
+    for block in (97, 1 << 16):
+        with mock.patch.object(verify, "_BLOCK", block):
+            assert find_function_witnesses(*args) == want
+
+
+@given(x=st.lists(st.integers(0, 3), min_size=1, max_size=200),
+       win=st.integers(1, 45))
+@settings(max_examples=200, deadline=None)
+def test_sliding_min_is_the_windowed_min(x, win):
+    x = np.array(x, dtype=float)
+    win = min(win, x.size)
+    want = [x[i:i + win].min() for i in range(x.size - win + 1)]
+    assert _sliding_min(x, win).tolist() == want
