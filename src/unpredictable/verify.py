@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CoverageError, DomainError, ResolutionError
 from .filtering import (_BLOCK, _EDGE_TOL, FilterConfig, StepSignal,
                         Trajectory, chi_exact, separation_constants)
-from .symbolspace import SequenceWindow
+from .symbolspace import SequenceWindow, metric_distance, shift
 
 _VERDICTS = ("consistent", "inconsistent", "inconclusive")
 
@@ -81,6 +81,11 @@ class FunctionVerdict:
             raise DomainError(f"verdict must be one of {_VERDICTS}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and positive")
+
+
 def _base_checks(seq: SequenceWindow, half_width: int) -> int:
     L = int(half_width)
     if L < 1:
@@ -109,9 +114,8 @@ def qualifying_shifts(seq: SequenceWindow, half_width: int,
     off0 = 1 - L - seq.first_index
     windows = np.lib.stride_tricks.sliding_window_view(v, width)[off0:]
     hits: list[np.ndarray] = []
-    chunk = 1 << 16
-    for lo in range(0, windows.shape[0], chunk):
-        block = windows[lo:lo + chunk]
+    for lo in range(0, windows.shape[0], _BLOCK):
+        block = windows[lo:lo + _BLOCK]
         err = np.max(np.abs(block - base), axis=1)
         hits.append(np.flatnonzero(err <= tolerance) + lo)
     pos = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
@@ -125,52 +129,48 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
 
     Shifts are scanned in increasing order; for each qualifying shift the
     smallest separating index larger than the previous witness's index is
-    taken.  If a qualifying shift admits no separating index anywhere in the
-    data and the sequence is exactly z-periodic over the covered range, the
-    verdict is ``inconsistent``.  ``epsilon0_achieved`` is the smallest
-    separation the reported witnesses sustain, or 0 when there are none.
+    taken, scanning forward from there in blocks of ``_BLOCK`` indices.  If
+    none follows and the sequence is exactly z-periodic over the covered
+    range, the verdict is ``inconsistent``.  ``epsilon0_achieved`` is the
+    smallest separation the reported witnesses sustain, or 0 when there are
+    none.
 
     Raises:
         DomainError: a parameter is out of range.
         CoverageError: the window cannot hold [-L, L] and one shifted copy.
     """
     L = _base_checks(seq, window_half_width)
-    if not (math.isfinite(epsilon0) and epsilon0 > 0):
-        raise DomainError("epsilon0 must be finite and positive")
+    _check_positive("epsilon0", epsilon0)
     if int(count) < 1:
         raise DomainError("count must be a positive integer")
 
     v = seq.symbols
-    first = seq.first_index
-    last = seq.last_index
     base = seq.segment(-L, L)
     witnesses: list[SequenceWitness] = []
-    last_eta = 0
+    start = 1 - seq.first_index    # array offset of the smallest eta allowed
     verdict = "inconclusive"
 
     for zeta in qualifying_shifts(seq, L, tolerance).tolist():
-        eta_lo = max(1, first)
-        eta_hi = last - zeta
-        if eta_lo > eta_hi:
-            continue
-        gaps = np.abs(v[eta_lo + zeta - first:eta_hi + zeta - first + 1]
-                      - v[eta_lo - first:eta_hi - first + 1])
-        cand = np.flatnonzero(gaps >= epsilon0)
-        if cand.size == 0:
-            if np.array_equal(v[zeta:], v[:len(v) - zeta]):
+        n = len(v) - zeta    # offsets below n have a partner zeta later
+        # the first separating eta after the previous one, a block at a time
+        for lo in range(start, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            gaps = np.abs(v[lo + zeta:hi + zeta] - v[lo:hi])
+            hit = np.flatnonzero(gaps >= epsilon0)
+            if hit.size:
+                break
+        else:
+            # a separating index before start would make the arrays differ
+            if np.array_equal(v[zeta:], v[:n]):
                 verdict = "inconsistent"
                 break
             continue
-        etas = cand + eta_lo
-        pos = int(np.searchsorted(etas, last_eta + 1))
-        if pos == len(etas):
-            continue
-        eta = int(etas[pos])
+        i = lo + int(hit[0])
         err = float(np.max(np.abs(seq.segment(-L + zeta, L + zeta) - base)))
         witnesses.append(SequenceWitness(
-            zeta=int(zeta), eta=eta, window=(-L, L),
-            max_window_error=err, separation=float(gaps[cand[pos]])))
-        last_eta = eta
+            zeta=int(zeta), eta=i + seq.first_index, window=(-L, L),
+            max_window_error=err, separation=float(gaps[hit[0]])))
+        start = i + 1
         if len(witnesses) == count:
             verdict = "consistent"
             break
@@ -183,9 +183,10 @@ def orbit_return_distances(seq: SequenceWindow, half_width: int,
                            max_shift: int) -> list[tuple[int, float]]:
     """Truncated distance between the sequence and each of its shifts.
 
-    For every shift s in 1..max_shift, sums |v(k + s) - v(k)| / 2**|k| over
-    |k| <= half_width.  Useful as a recurrence diagnostic: dips mark shifts
-    under which the window nearly returns to itself.
+    For every shift s in 1..max_shift, the :func:`metric_distance` of the
+    window shifted s times from itself: |v(k + s) - v(k)| / 2**|k| summed
+    over |k| <= half_width.  Useful as a recurrence diagnostic: dips mark
+    shifts under which the window nearly returns to itself.
 
     Raises:
         CoverageError: indices [-K - max_shift, K + max_shift] are missing.
@@ -197,13 +198,10 @@ def orbit_return_distances(seq: SequenceWindow, half_width: int,
     if not seq.covers(-K, K + S):
         raise CoverageError(
             f"window must cover [{-K}, {K + S}] for this diagnostic")
-    weights = 0.5 ** np.abs(np.arange(-K, K + 1))
-    base = seq.segment(-K, K)
-    out = []
-    for s in range(1, S + 1):
-        shifted = seq.segment(-K + s, K + s)
-        out.append((s, float(np.sum(np.abs(shifted - base) * weights))))
-    return out
+    # shift copies its window, so shift only the part the distances read
+    part = SequenceWindow(seq.alphabet, -K, seq.segment(-K, K + S))
+    return [(s, metric_distance(shift(part, s), part, K).value)
+            for s in range(1, S + 1)]
 
 
 def _as_evaluator(h, domain):
@@ -239,13 +237,12 @@ def _sliding_min(x: np.ndarray, win: int) -> np.ndarray:
 def _search_spacing(sigma: float, tolerance: float, epsilon0: float,
                     sample_dt: float | None) -> float:
     """Check the function search's parameters; return its grid spacing."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise DomainError("sigma must be finite and positive")
+    _check_positive("sigma", sigma)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise DomainError("tolerance must be finite and nonnegative")
-    if not (math.isfinite(epsilon0) and epsilon0 > 0):
-        raise DomainError("epsilon0 must be finite and positive")
+    _check_positive("epsilon0", epsilon0)
     dt = sigma / 8.0 if sample_dt is None else float(sample_dt)
+    _check_positive("sample_dt", dt)
     if dt > sigma / 8.0 * (1.0 + _EDGE_TOL):
         raise ResolutionError("sample_dt must be at most sigma / 8")
     return dt
@@ -400,6 +397,7 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     constants = separation_constants(eps_alpha)
     if sigma is None:
         sigma = min(constants.kappa_i, constants.kappa_ii) / 2.0
+    _check_positive("sigma", sigma)
     dt = sample_dt if sample_dt is not None else sigma / 8.0
     if epsilon0 is None:
         epsilon0 = constants.lower_bound

@@ -300,6 +300,10 @@ class TestReports:
           "--dt", "0.001"), "sigma must be finite"),
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--lambda", "0"),
          "decay must be a positive real"),
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "inf"),
+         "sigma must be finite"),
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "nan"),
+         "sigma must be finite"),
     ])
     def test_rejected_parameters_map_to_1(self, tmp_path, capsys, windows,
                                           argv, message):

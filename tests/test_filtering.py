@@ -332,6 +332,58 @@ def test_quadrature_matches_recurrence_everywhere(bits, seed_t):
     assert abs(float(tr.values[-1]) - q.value) <= q.truncation_bound + 1e-10
 
 
+@st.composite
+def quadrature_cases(draw):
+    """A signal over 2-5 symbols, negative ones too, from a negative first
+    index; a start inside the window with a start value in the band
+    [-sup|pi|/lambda, sup|pi|/lambda]; sample picks and a tail fraction."""
+    values = draw(st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=2,
+                           max_size=5, unique=True))
+    symbols = draw(st.lists(st.sampled_from(values), min_size=1,
+                            max_size=120))
+    first = draw(st.integers(-300, -1))
+    mu = draw(st.floats(0.01, 3.0))
+    window = SequenceWindow(Alphabet(tuple(values)), first, np.array(symbols))
+    signal = StepSignal(window, mu, draw(st.floats(-50.0, 50.0)))
+    lam = draw(st.floats(0.05, 20.0))
+    cfg = FilterConfig(decay=lam, step=mu, sample_dt=mu / draw(
+        st.sampled_from([1.0, 2.0, 3.0, 7.0, 16.5])))
+    piece = draw(st.integers(first, window.last_index))
+    frac = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999))
+    t_start = signal.origin + piece * mu + frac * mu
+    chi_start = signal.sup_abs / lam * draw(st.floats(-1.0, 1.0))
+    picks = draw(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=8))
+    return (signal, cfg, t_start, chi_start, picks,
+            draw(st.just(1.0) | st.floats(0.05, 1.0)))
+
+
+@given(case=quadrature_cases())
+@settings(max_examples=300, deadline=None)
+def test_recurrence_matches_quadrature_within_its_bound(case):
+    signal, cfg, t_start, chi_start, picks, tail_frac = case
+    tr = chi_exact(signal, cfg, t_start, signal.t_max, chi_start)
+    sup, eps = signal.sup_abs, np.finfo(float).eps
+    k_start = _piece_index(signal.origin, signal.step, t_start)
+    # the last sample sits at the end of coverage; the first has no tail
+    for j in {len(tr) - 1, *(p % len(tr) for p in picks)}:
+        t = float(tr.times[j])
+        if t <= t_start:
+            continue
+        # the tail lies inside [t_start, t], so what it leaves out, the
+        # history from chi_start on, is at most sup|pi| e^(-lambda T)/lambda
+        q = chi_quadrature(signal, cfg, t, tail_frac * (t - t_start))
+        # both paths round at most 8 times per piece crossed (plus the
+        # sample itself), each by eps of a term within sup|pi|/lambda, and
+        # read chi, whose slope is at most 2 sup|pi|, at times rounded by
+        # eps |t|; within its edge slack past the end of coverage chi_exact
+        # holds the last value, which the quadrature lets decay
+        pieces = _piece_index(signal.origin, signal.step, t) - k_start + 2
+        rounding = eps * sup * (16 * pieces / cfg.decay + 2 * abs(t))
+        edge = sup * max(0.0, t - signal.t_max)
+        assert abs(float(tr.values[j]) - q.value) \
+            <= q.truncation_bound + rounding + edge
+
+
 # -- the per-piece loop as a differential reference --------------------------
 
 def _chi_exact_reference(signal, config, t_start, t_end, chi_start):

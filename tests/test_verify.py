@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unpredictable import (BINARY, BernoulliSpec, CoverageError, DomainError,
-                           FilterConfig, ResolutionError, SequenceWindow,
-                           StepSignal, Trajectory, chi_exact,
+from unpredictable import (BINARY, Alphabet, BernoulliSpec, CoverageError,
+                           DomainError, FilterConfig, ResolutionError,
+                           SequenceWindow, StepSignal, Trajectory, chi_exact,
                            find_function_witnesses, find_sequence_witnesses,
                            orbit_return_distances, point_window,
                            qualifying_shifts, realize, separation_constants,
                            verify, verify_filtered)
 from unpredictable.filtering import _EDGE_TOL
 from unpredictable.verify import (FunctionVerdict, FunctionWitness,
-                                  _sliding_min)
+                                  SequenceVerdict, SequenceWitness,
+                                  _base_checks, _sliding_min)
 
 
 def binary_window(first, bits):
@@ -249,6 +250,15 @@ class TestFunctionSearch:
             find_function_witnesses(tr, [1.0], (0.0, 4.0), sigma=0.5,
                                     tolerance=1.0, epsilon0=0.1,
                                     sample_dt=0.2)
+
+    @pytest.mark.parametrize("sample_dt", [0.0, -0.01, math.nan])
+    def test_sample_dt_must_be_positive(self, sample_dt):
+        # these used to raise ZeroDivisionError, a CoverageError and a bare
+        # ValueError
+        with pytest.raises(DomainError, match="sample_dt must be finite"):
+            find_function_witnesses(flat_trajectory(), [1.0], (0.0, 4.0),
+                                    sigma=0.5, tolerance=1.0, epsilon0=0.1,
+                                    sample_dt=sample_dt)
 
     def test_domain_must_hold_compact_plus_shift(self):
         tr = flat_trajectory(n=1001)    # [0, 10]
@@ -501,3 +511,109 @@ def test_sliding_min_is_the_windowed_min(x, win):
     win = min(win, x.size)
     want = [x[i:i + win].min() for i in range(x.size - win + 1)]
     assert _sliding_min(x, win).tolist() == want
+
+
+# -- the dense eta scan as a differential reference --------------------------
+
+def _find_sequence_witnesses_reference(seq, window_half_width, tolerance,
+                                       epsilon0, count):
+    """The per-shift whole-window eta scan that the forward scan replaced,
+    kept verbatim to pin the forward one to it."""
+    L = _base_checks(seq, window_half_width)
+    if not (math.isfinite(epsilon0) and epsilon0 > 0):
+        raise DomainError("epsilon0 must be finite and positive")
+    if int(count) < 1:
+        raise DomainError("count must be a positive integer")
+
+    v = seq.symbols
+    first = seq.first_index
+    last = seq.last_index
+    base = seq.segment(-L, L)
+    witnesses: list[SequenceWitness] = []
+    last_eta = 0
+    verdict = "inconclusive"
+
+    for zeta in qualifying_shifts(seq, L, tolerance).tolist():
+        eta_lo = max(1, first)
+        eta_hi = last - zeta
+        if eta_lo > eta_hi:
+            continue
+        gaps = np.abs(v[eta_lo + zeta - first:eta_hi + zeta - first + 1]
+                      - v[eta_lo - first:eta_hi - first + 1])
+        cand = np.flatnonzero(gaps >= epsilon0)
+        if cand.size == 0:
+            if np.array_equal(v[zeta:], v[:len(v) - zeta]):
+                verdict = "inconsistent"
+                break
+            continue
+        etas = cand + eta_lo
+        pos = int(np.searchsorted(etas, last_eta + 1))
+        if pos == len(etas):
+            continue
+        eta = int(etas[pos])
+        err = float(np.max(np.abs(seq.segment(-L + zeta, L + zeta) - base)))
+        witnesses.append(SequenceWitness(
+            zeta=int(zeta), eta=eta, window=(-L, L),
+            max_window_error=err, separation=float(gaps[cand[pos]])))
+        last_eta = eta
+        if len(witnesses) == count:
+            verdict = "consistent"
+            break
+
+    achieved = min((w.separation for w in witnesses), default=0.0)
+    return SequenceVerdict(tuple(witnesses), achieved, verdict)
+
+
+def _sequence_outcome(search, *case):
+    try:
+        return search(*case)
+    except (CoverageError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+ALPHABETS = (BINARY, Alphabet((-1.0, 0.0, 1.0)),
+             Alphabet((-0.75, 0.3, 1.6, 2.05)))
+
+
+@st.composite
+def sequence_cases(draw):
+    """An exactly periodic window, the same with one symbol flipped, or a
+    random one, mostly covering [-L, L], and a search over it."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    values = np.asarray(alphabet.values)
+    L = draw(st.integers(1, 4))
+    # before = -1, or one symbol less than 2L + 2 + before, leaves no room
+    before = draw(st.integers(-1, 40))
+    n = 2 * L + 2 + before + draw(st.integers(-1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["periodic", "flipped", "random"]))
+    if kind == "random":
+        symbols = values[rng.integers(0, values.size, n)]
+    else:
+        period = draw(st.integers(1, 12))
+        symbols = np.resize(values[rng.integers(0, values.size, period)], n)
+        if kind == "flipped":
+            j = draw(st.integers(0, n - 1))
+            other = alphabet.index_of(symbols[j]) + draw(
+                st.integers(1, values.size - 1))
+            symbols[j] = values[other % values.size]
+    seq = SequenceWindow(alphabet, -L - before, symbols)
+    return (seq, L, draw(st.sampled_from([0.0, 0.0, 0.3, 1.0])),
+            draw(st.sampled_from([1e-9, alphabet.epsilon0, 0.5, 1.0, 2.0])),
+            draw(st.integers(1, 8)))
+
+
+@given(case=sequence_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]))
+@settings(max_examples=300, deadline=None)
+def test_forward_eta_scan_equals_the_dense_scan(case, block):
+    want = _sequence_outcome(_find_sequence_witnesses_reference, *case)
+    with mock.patch.object(verify, "_BLOCK", block):
+        got = _sequence_outcome(find_sequence_witnesses, *case)
+    assert got == want
+
+
+def test_forward_eta_scan_equals_the_dense_scan_on_the_point():
+    seq = point_window(-(1 << 19), 1 << 20)
+    want = _find_sequence_witnesses_reference(seq, 4, 0.0, 1.0, 500)
+    assert want.verdict == "consistent"
+    assert find_sequence_witnesses(seq, 4, 0.0, 1.0, 500) == want
