@@ -17,7 +17,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
+from .point import MAX_WINDOW
 from .symbolspace import Alphabet, SequenceWindow
 
 _SUM_TOL = 1e-12
@@ -31,7 +32,7 @@ class BernoulliSpec:
         alphabet: symbol values to draw from.
         probabilities: one weight per symbol, summing to 1.
         seed: generator seed, a 64-bit unsigned integer.
-        length: number of symbols to draw.
+        length: number of symbols to draw, at most ``MAX_WINDOW``.
     """
 
     alphabet: Alphabet
@@ -52,6 +53,8 @@ class BernoulliSpec:
             raise DomainError("seed must fit in 64 unsigned bits")
         if int(self.length) < 1:
             raise DomainError("length must be a positive integer")
+        if int(self.length) > MAX_WINDOW:
+            raise ResourceError(f"length {self.length} exceeds {MAX_WINDOW}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "length", int(self.length))
 

@@ -204,7 +204,12 @@ class SeparationConstants(NamedTuple):
 def _piece_index(origin: float, mu: float, t: float) -> int:
     """Index k with breakpoint(k) <= t < breakpoint(k+1), using the same
     breakpoint arithmetic everywhere so classification is reproducible."""
-    k = int(math.floor((t - origin) / mu))
+    q = (t - origin) / mu
+    if math.isnan(q):
+        raise DomainError("time must not be NaN")
+    if abs(q) >= 2.0 ** 53:  # consecutive breakpoints stop being distinct
+        raise CoverageError(f"time {t!r} lies beyond piece 2**53")
+    k = int(math.floor(q))
     while origin + (k + 1) * mu <= t:
         k += 1
     while origin + k * mu > t:

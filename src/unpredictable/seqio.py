@@ -40,8 +40,8 @@ def parse_sequence(text: str) -> SequenceWindow:
     try:
         values = tuple(float(v) for v in head[len("alphabet:"):].split(","))
         first_index = int(idx_head[len("first_index:"):].strip())
-        indices = [int(s) for s in body.split(",")]
-    except ValueError as exc:
+        indices = np.array(body.split(","), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise DomainError(f"malformed sequence file: {exc}") from None
     return SequenceWindow.from_indices(Alphabet(values), first_index, indices)
 

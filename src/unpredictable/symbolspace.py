@@ -15,8 +15,9 @@ changes, so shifting a window decrements ``first_index``.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -97,7 +98,9 @@ class SequenceWindow:
     def from_indices(cls, alphabet: Alphabet, first_index: int,
                      indices) -> "SequenceWindow":
         """Build a window from alphabet positions instead of raw values."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise DomainError("symbol indices must be 64-bit integers")
         if idx.size and (idx.min() < 0 or idx.max() >= len(alphabet)):
             raise DomainError("symbol index out of range for the alphabet")
         values = np.asarray(alphabet.values)[idx]
@@ -122,10 +125,7 @@ class SequenceWindow:
         return self.first_index <= lo and hi <= self.last_index
 
     def value_at(self, index: int) -> float:
-        if not self.covers(index, index):
-            raise CoverageError(f"index {index} outside "
-                                f"[{self.first_index}, {self.last_index}]")
-        return float(self.symbols[index - self.first_index])
+        return float(self.segment(index, index)[0])
 
     def segment(self, lo: int, hi: int) -> np.ndarray:
         """Values at indices lo..hi inclusive."""
@@ -138,10 +138,10 @@ class SequenceWindow:
         return self.symbols[off:off + (hi - lo + 1)]
 
     def to_indices(self) -> np.ndarray:
-        """Alphabet positions of the stored values."""
-        lookup = {v: i for i, v in enumerate(self.alphabet.values)}
-        return np.fromiter((lookup[v] for v in self.symbols.tolist()),
-                           dtype=np.int64, count=len(self))
+        """Alphabet positions of the stored values (all are members)."""
+        order = np.argsort(self.alphabet.values)
+        return order[np.searchsorted(self.alphabet.values, self.symbols,
+                                     sorter=order)]
 
 
 class MetricResult(NamedTuple):
@@ -178,6 +178,7 @@ def metric_distance(first: SequenceWindow, second: SequenceWindow,
 def shift(window: SequenceWindow, times: int = 1) -> SequenceWindow:
     """Apply the shift map: the value seen at index k becomes the old value
     at index k + 1, so the window keeps its symbols and moves its origin.
+    The result shares the input's read-only symbols: a shift costs O(1).
 
     Raises:
         DomainError: the window has fewer than two symbols, or times < 1.
@@ -187,4 +188,6 @@ def shift(window: SequenceWindow, times: int = 1) -> SequenceWindow:
     t = int(times)
     if t < 1:
         raise DomainError("times must be a positive integer")
-    return replace(window, first_index=window.first_index - t)
+    moved = copy.copy(window)
+    object.__setattr__(moved, "first_index", window.first_index - t)
+    return moved

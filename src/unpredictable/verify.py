@@ -198,9 +198,7 @@ def orbit_return_distances(seq: SequenceWindow, half_width: int,
     if not seq.covers(-K, K + S):
         raise CoverageError(
             f"window must cover [{-K}, {K + S}] for this diagnostic")
-    # shift copies its window, so shift only the part the distances read
-    part = SequenceWindow(seq.alphabet, -K, seq.segment(-K, K + S))
-    return [(s, metric_distance(shift(part, s), part, K).value)
+    return [(s, metric_distance(shift(seq, s), seq, K).value)
             for s in range(1, S + 1)]
 
 

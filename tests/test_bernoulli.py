@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unpredictable import BINARY, Alphabet, BernoulliSpec, DomainError, realize
+from unpredictable import (BINARY, MAX_WINDOW, Alphabet, BernoulliSpec,
+                           DomainError, ResourceError, realize)
 
 FAIR = (0.5, 0.5)
 
@@ -105,6 +106,13 @@ def test_seed_range():
 def test_length_positive():
     with pytest.raises(DomainError):
         BernoulliSpec(BINARY, FAIR, 0, 0)
+
+
+def test_length_is_capped_at_max_window():
+    assert BernoulliSpec(BINARY, FAIR, 0, MAX_WINDOW).length == MAX_WINDOW
+    for n in (MAX_WINDOW + 1, 2 ** 70):
+        with pytest.raises(ResourceError):
+            BernoulliSpec(BINARY, FAIR, 0, n)
 
 
 @given(seed=st.integers(0, 2 ** 64 - 1), length=st.integers(1, 64))

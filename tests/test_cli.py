@@ -170,6 +170,22 @@ class TestMetricAndShiftCommands:
         assert set(data) == {"value", "tail_bound"}
         assert data["value"] > 0.0
 
+    @pytest.mark.parametrize("index", ["99999999999999999999", "-1", "0.5"])
+    def test_bad_index_in_file_is_1(self, tmp_path, capsys, index):
+        bad = tmp_path / "big.seq"
+        bad.write_text(f"alphabet: 0.0,1.0\nfirst_index: 0\n0,{index}\n")
+        out = tmp_path / "y.seq"
+        assert run("shift", "--in", str(bad), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_oversized_bernoulli_length_is_1(self, tmp_path, capsys):
+        out = tmp_path / "x.seq"
+        assert run("bernoulli", "--seed", "0", "--length",
+                   "1180591620717411303424", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_metric_of_window_with_itself(self, tmp_path, capsys):
         a = tmp_path / "a.seq"
         run("point", "--first", "-20", "--length", "41", "--out", str(a))

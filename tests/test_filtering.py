@@ -1,7 +1,12 @@
 """Step signals, the exact filter recurrence, quadrature, and constants."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -49,6 +54,52 @@ class TestStepSignal:
     def test_step_must_be_positive(self):
         with pytest.raises(DomainError):
             make_signal([0, 1], mu=0.0)
+
+    def test_nan_time_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            make_signal([0, 1]).value_at(float("nan"))
+
+
+def run_isolated(source):
+    """Run ``source`` in a fresh interpreter with a timeout, so that a call
+    which never returns fails the test instead of hanging the suite."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(source)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("call", [
+    "chi_quadrature(sig, cfg, 1e300, 1.0)",
+    "chi_quadrature(sig, cfg, 1.0, 1e300)",
+    "sig.value_at(1e300)",
+    "sig.value_at(-1e300)",
+    "sig.value_at(float('inf'))",
+])
+def test_times_beyond_2_53_pieces_raise_coverage_error(call):
+    # past 2**53 pieces, stepping k one piece at a time never reaches t
+    proc = run_isolated(f"""
+        import numpy as np
+        from unpredictable import (BINARY, CoverageError, FilterConfig,
+                                   SequenceWindow, StepSignal)
+        from unpredictable.filtering import chi_quadrature
+        sig = StepSignal(SequenceWindow(BINARY, 0, np.ones(4)), 1.0)
+        cfg = FilterConfig(step=1.0, sample_dt=0.5)
+        try:
+            {call}
+        except CoverageError as exc:
+            print("CoverageError:", exc)
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CoverageError:")
+
+
+def test_piece_index_limit():
+    assert _piece_index(0.0, 1.0, 2.0 ** 53 - 1) == 2 ** 53 - 1
+    assert _piece_index(0.0, 1.0, 1 - 2.0 ** 53) == 1 - 2 ** 53
+    for t in (2.0 ** 53, -2.0 ** 53, math.inf):
+        with pytest.raises(CoverageError):
+            _piece_index(0.0, 1.0, t)
 
 
 class TestTrajectory:

@@ -60,6 +60,43 @@ def test_malformed_sequence_files(text):
         parse_sequence(text)
 
 
+def int_parse_indices(body):
+    """Reference for the index line: int() per element."""
+    return [int(s) for s in body.split(",")]
+
+
+def sequence_text(body):
+    return f"alphabet: 0.0,1.0\nfirst_index: 4\n{body}\n"
+
+
+@pytest.mark.parametrize("body", [
+    "0,1,1", " 1, 0 ,1 ", "+1,0", "0_0,1", "0_0_1,0,1", "\t1,0 ",
+    "00001,0", "-0,+0", "\u0661,0", "\uff11,\u0660"])
+def test_index_line_parses_like_int(body):
+    w = parse_sequence(sequence_text(body))
+    assert w.first_index == 4
+    assert w.to_indices().tolist() == int_parse_indices(body)
+
+
+@pytest.mark.parametrize("body", [
+    "", " ", "0,", ",1", "0,,1", "0,x", "1.0", "1e0", "0x1", "0b1", "1 0",
+    "1__0", "_1", "1_", "--1", "+-1", "- 1", "1-", "nan", "inf"])
+def test_malformed_index_line_reports_what_int_reports(body):
+    with pytest.raises(ValueError) as ref:
+        int_parse_indices(body)
+    with pytest.raises(DomainError) as got:
+        parse_sequence(sequence_text(body))
+    assert str(got.value) == f"malformed sequence file: {ref.value}"
+
+
+@pytest.mark.parametrize("body", [
+    "0,99999999999999999999", "9223372036854775807",
+    "0,9223372036854775808", "-9223372036854775809", "1," + "9" * 400])
+def test_index_beyond_the_alphabet_or_64_bits(body):
+    with pytest.raises(DomainError):
+        parse_sequence(sequence_text(body))
+
+
 def test_trajectory_csv_header_and_shape():
     tr = Trajectory(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.25, 0.125]))
     text = format_trajectory_csv(tr)

@@ -1,6 +1,7 @@
 """Alphabets, windows, the truncated metric, and the shift map."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ class TestSequenceWindow:
         with pytest.raises(DomainError):
             SequenceWindow.from_indices(BINARY, 0, [0, 2])
 
+    @pytest.mark.parametrize("indices", [
+        [0.5, 1], [0.0, 1.0], np.array([0.0, 1.0]), [2 ** 70], [0, 2 ** 70],
+        [-1, 2 ** 63], [True, False]])
+    def test_from_indices_rejects_non_integer_indices(self, indices):
+        # indices are never truncated, wrapped or overflowed into range
+        with pytest.raises(DomainError):
+            SequenceWindow.from_indices(BINARY, 0, indices)
+
+    def test_to_indices_accepts_negative_zero(self):
+        # -0.0 == 0.0, so either sign is a member of an alphabet holding
+        # the other, and both map to its position
+        for zero, other in ((0.0, -0.0), (-0.0, 0.0)):
+            a = Alphabet((3.0, zero, -1.0))
+            w = SequenceWindow(a, 0, np.array([other, 3.0, zero, -1.0]))
+            assert w.to_indices().tolist() == [1, 0, 1, 2]
+            assert np.array_equal(w.to_indices(), dict_to_indices(w))
+
     def test_symbols_are_read_only(self):
         w = window(0, [0, 1])
         with pytest.raises(ValueError):
@@ -174,6 +192,22 @@ class TestShift:
         with pytest.raises(DomainError):
             shift(window(0, [1, 0]), times=0)
 
+    def test_shares_read_only_symbols(self):
+        w = window(-3, [0, 1, 1, 0, 1])
+        s = shift(w, 2)
+        assert np.shares_memory(s.symbols, w.symbols)
+        assert not s.symbols.flags.writeable
+        with pytest.raises(ValueError):
+            s.symbols[0] = 1.0
+        assert w.first_index == -3
+        assert s == window(-5, [0, 1, 1, 0, 1])
+
+    def test_does_not_check_membership_again(self):
+        w = window(0, [0, 1] * 64)
+        with mock.patch.object(np, "isin", side_effect=AssertionError):
+            s = shift(shift(w, 7))
+        assert s.first_index == -8
+
 
 # -- property tests ----------------------------------------------------------
 
@@ -240,3 +274,35 @@ def test_tail_bound_covers_hidden_terms(a, b):
         full += diff / Fraction(2) ** abs(k)
     assert value <= float(full) + 1e-12
     assert float(full) <= value + tail + 1e-12
+
+
+# -- differential tests against the replaced per-symbol loop -----------------
+
+def dict_to_indices(w):
+    """Reference for to_indices: a dict lookup per symbol."""
+    lookup = {v: i for i, v in enumerate(w.alphabet.values)}
+    return np.fromiter((lookup[v] for v in w.symbols.tolist()),
+                       dtype=np.int64, count=len(w))
+
+
+@pytest.mark.parametrize("values", [
+    (0.0, 1.0), (1.0, 0.0), (-0.0, -2.5), (3.0, -1.5, 0.0),
+    (-2.0, -7.0, 0.25, -0.0), (5.0, -5.0, 1e-300, -1e300, 0.125)])
+def test_to_indices_matches_the_dict_loop(values, rng):
+    a = Alphabet(values)
+    idx = rng.integers(0, len(a), 4096)
+    w = SequenceWindow.from_indices(a, -7, idx)
+    got = w.to_indices()
+    assert got.dtype == np.int64
+    assert np.array_equal(got, dict_to_indices(w))
+    assert np.array_equal(got, idx)
+
+
+@given(values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=5,
+                       unique=True),
+       picks=st.lists(st.integers(0, 4), min_size=1, max_size=64))
+@settings(max_examples=100, deadline=None)
+def test_to_indices_matches_the_dict_loop_on_any_alphabet(values, picks):
+    a = Alphabet(tuple(values))
+    w = SequenceWindow.from_indices(a, 0, [i % len(a) for i in picks])
+    assert np.array_equal(w.to_indices(), dict_to_indices(w))

@@ -13,9 +13,10 @@ from unpredictable import (BINARY, Alphabet, BernoulliSpec, CoverageError,
                            DomainError, FilterConfig, ResolutionError,
                            SequenceWindow, StepSignal, Trajectory, chi_exact,
                            find_function_witnesses, find_sequence_witnesses,
-                           orbit_return_distances, point_window,
-                           qualifying_shifts, realize, separation_constants,
-                           verify, verify_filtered)
+                           metric_distance, orbit_return_distances,
+                           point_window, qualifying_shifts, realize,
+                           separation_constants, shift, verify,
+                           verify_filtered)
 from unpredictable.filtering import _EDGE_TOL
 from unpredictable.verify import (FunctionVerdict, FunctionWitness,
                                   SequenceVerdict, SequenceWitness,
@@ -166,6 +167,18 @@ class TestOrbitReturns:
         w = binary_window(-4, [0, 1] * 8)
         with pytest.raises(CoverageError):
             orbit_return_distances(w, 4, 100)
+
+    @pytest.mark.parametrize("K", [2, 4, 8, 16])
+    def test_full_window_matches_the_restricted_window(self, point_64k, K):
+        # reference: shift only the part of the window the distances read
+        S = 1 << 12
+        part = SequenceWindow(point_64k.alphabet, -K,
+                              point_64k.segment(-K, K + S))
+        old = [(s, metric_distance(shift(part, s), part, K).value.hex())
+               for s in range(1, S + 1)]
+        with mock.patch.object(np, "isin", side_effect=AssertionError):
+            new = orbit_return_distances(point_64k, K, S)
+        assert [(s, d.hex()) for s, d in new] == old
 
 
 def flat_trajectory(value=0.0, n=4001, dt=0.01):
