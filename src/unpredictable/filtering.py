@@ -186,8 +186,8 @@ class Trajectory:
         slack = _EDGE_TOL * (self.sample_dt if len(self) > 1 else 1.0)
         if np.any(q < self.t_start - slack) or np.any(q > self.t_end + slack):
             raise CoverageError("requested time outside the sampled span")
-        return np.interp(np.clip(q, self.t_start, self.t_end),
-                         self._times, self._values)
+        # beyond either end np.interp returns that end's value
+        return np.interp(q, self._times, self._values)
 
 
 class QuadratureResult(NamedTuple):
@@ -258,7 +258,9 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
         DomainError: t_end <= t_start, or config and signal disagree on step.
         ResourceError: more than ``MAX_SAMPLES`` samples are requested.
         CoverageError: some sampled time needs a piece outside the window,
-            beyond a slack of ``_EDGE_TOL * step`` after its last breakpoint.
+            beyond a slack of ``_EDGE_TOL * step`` after its last breakpoint;
+            decided from the start piece and the last sample time, before
+            any sample is allocated.
     """
     _check_pair(signal, config)
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
@@ -273,18 +275,22 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
         raise ResourceError(f"sampling [{t_start!r}, {t_end!r}] every {dt!r} "
                             f"needs more than {MAX_SAMPLES} samples")
     n = int(math.floor(steps))
-    times = t_start + dt * np.arange(n + 1)
-    values = np.empty(n + 1)
     first_p = signal.sequence.first_index
     last_p = signal.sequence.last_index
-
     k = _piece_index(signal.origin, mu, t_start)
+    inside = first_p <= k <= last_p
+    # the start piece and the last sample decide coverage; a sample at the
+    # end of coverage needs no piece value
+    k_out, t_out = ((last_p + 1, signal.origin + (last_p + 1) * mu) if inside
+                    else (k, t_start))
+    if t_start + dt * n > t_out + _EDGE_TOL * mu:
+        raise CoverageError(
+            f"signal does not cover piece {k_out} needed near t={t_out!r}")
+    times = t_start + dt * np.arange(n + 1)
+    values = np.empty(n + 1)
     t_ref = t_start
     chi = float(chi_start)
-    covered = 0
-    if first_p <= k <= last_p:
-        covered = int(np.searchsorted(
-            times, signal.origin + (last_p + 1) * mu, side="left"))
+    covered = int(np.searchsorted(times, t_out, side="left")) if inside else 0
     for lo in range(0, covered, _BLOCK):
         t = times[lo:min(lo + _BLOCK, covered)]
         k_hi = _piece_index(signal.origin, mu, float(t[-1]))
@@ -298,14 +304,9 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
         values[lo:lo + t.size] = (np.repeat(chis, counts) * decay
                                   + np.repeat(scaled, counts) * (1.0 - decay))
     if covered <= n:
-        if first_p <= k <= last_p:
+        if inside:
             # carry chi to the end of the last covered piece
-            refs, chis = _chain(signal, lam, k, t_ref, chi, last_p + 1)
-            k, t_ref, chi = last_p + 1, refs[-1], chis[-1]
-        # a sample at the end of coverage needs no piece value
-        if times[-1] > t_ref + _EDGE_TOL * mu:
-            raise CoverageError(
-                f"signal does not cover piece {k} needed near t={t_ref!r}")
+            chi = _chain(signal, lam, k, t_ref, chi, last_p + 1)[1][-1]
         values[covered:] = chi
     return Trajectory._owning(times, values)
 

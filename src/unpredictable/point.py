@@ -21,10 +21,17 @@ side, so the left half starts with the level-2 strings:
                                 ^ index 0
 
 Every finite pattern of the family recurs in both directions, which is what
-makes the sequence return arbitrarily close to itself under shifts.  Symbol
-lookup does not build the concatenation: a ``searchsorted`` over the at most
-``MAX_LEVEL`` + 1 cumulative level offsets finds the level block, and the
-position within it identifies the string number and digit directly.
+makes the sequence return arbitrarily close to itself under shifts.
+
+Leaving out ``1`` on the left makes the two sides symmetric in |n|: level 1
+holds only index 0, so for n >= 1 index -n lies at the same offset into the
+same level as index n, and levels 1..r hold every |n| < (r - 1) * 2**r + 1.
+Symbol lookup does not build the concatenation: a ``searchsorted`` of |n|
+over these ``MAX_LEVEL`` + 1 cumulative offsets finds the level r, and the
+offset into it gives the string number q and digit c.  Index n >= 0 reads
+digit c of string 2q (0-based) from the left; index -n reads digit c of
+string 2q + 1 from the right.  The level limit is checked on the exact
+integer indices before any int64 arithmetic, so no index can wrap.
 """
 
 from __future__ import annotations
@@ -42,21 +49,9 @@ MAX_LEVEL = 24
 #: Largest window length point_window will materialize.
 MAX_WINDOW = 1 << 20
 
-
-def _right_cum(r: int) -> int:
-    # symbols at indices 0..R-1 after laying down levels 1..r on the right
-    return (r - 1) * (1 << r) + 1 if r >= 1 else 0
-
-
-def _left_cum(r: int) -> int:
-    # symbols at indices -L..-1 after laying down levels 2..r on the left
-    return _right_cum(r) - 1 if r >= 2 else 0
-
-
-_RIGHT_CUM = np.array([_right_cum(r) for r in range(MAX_LEVEL + 1)],
-                      dtype=np.int64)
-_LEFT_CUM = np.array([_left_cum(r) for r in range(MAX_LEVEL + 1)],
-                     dtype=np.int64)
+#: Levels 1..r hold the indices with |n| < _CUM[r], on either side.
+_CUM = np.array([0] + [(r - 1) * (1 << r) + 1 for r in range(1, MAX_LEVEL + 1)],
+                dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -89,33 +84,22 @@ def family(level: int, max_level: int = MAX_LEVEL) -> StringFamily:
     return StringFamily(r, strings)
 
 
-def _symbols_at(indices: np.ndarray) -> np.ndarray:
-    """0/1 value of the assembled point at each integer index."""
-    out = np.empty(indices.shape, dtype=np.int64)
-
-    pos = indices >= 0
-    n = indices[pos]
-    if n.size:
-        r = np.searchsorted(_RIGHT_CUM, n, side="right")
-        if r.size and int(r.max()) > MAX_LEVEL:
-            raise ResourceError(
-                f"index {int(n.max())} lies beyond level {MAX_LEVEL}")
-        m = n - _RIGHT_CUM[r - 1]
-        q, c = np.divmod(m, r)
-        # string number 2q (0-based) of level r, digit c from the left
-        out[pos] = (2 * q >> (r - 1 - c)) & 1
-
-    d = -indices[~pos]
-    if d.size:
-        r = np.searchsorted(_LEFT_CUM, d, side="left")
-        if r.size and int(r.max()) > MAX_LEVEL:
-            raise ResourceError(
-                f"index {-int(d.max())} lies beyond level {MAX_LEVEL}")
-        m = d - 1 - _LEFT_CUM[r - 1]
-        q, c = np.divmod(m, r)
-        # string number 2q + 1 of level r, digit c from the right
-        out[~pos] = (2 * q + 1 >> c) & 1
-
+def _symbols(first: int, n: int) -> np.ndarray:
+    """Symbols of the assembled point at indices first..first + n - 1, as
+    float64."""
+    last, limit = first + n - 1, int(_CUM[MAX_LEVEL])
+    if last >= limit or -first >= limit:
+        index = last if last >= limit else first
+        raise ResourceError(f"index {index} lies beyond level {MAX_LEVEL}")
+    split = min(max(-first, 0), n)  # the negative indices lead the range
+    mag = np.abs(first + np.arange(n, dtype=np.int64))
+    r = np.searchsorted(_CUM, mag, side="right")
+    q, c = np.divmod(mag - _CUM[r - 1], r)
+    out = np.empty(n)
+    # left of the origin: string 2q + 1 of level r, digit c from the right
+    out[:split] = (2 * q[:split] + 1 >> c[:split]) & 1
+    # origin and right: string 2q, digit c from the left
+    out[split:] = (2 * q[split:] >> (r[split:] - 1 - c[split:])) & 1
     return out
 
 
@@ -125,7 +109,7 @@ def point_symbol(index: int) -> int:
     Raises:
         ResourceError: the index lies beyond the deepest supported level.
     """
-    return int(_symbols_at(np.array([int(index)], dtype=np.int64))[0])
+    return int(_symbols(int(index), 1)[0])
 
 
 def point_window(first_index: int, length: int) -> SequenceWindow:
@@ -141,6 +125,5 @@ def point_window(first_index: int, length: int) -> SequenceWindow:
         raise DomainError("length must be a positive integer")
     if n > MAX_WINDOW:
         raise ResourceError(f"window length {n} exceeds {MAX_WINDOW}")
-    indices = int(first_index) + np.arange(n, dtype=np.int64)
-    values = _symbols_at(indices).astype(np.float64)
-    return SequenceWindow(BINARY, int(first_index), values)
+    first = int(first_index)
+    return SequenceWindow(BINARY, first, _symbols(first, n))

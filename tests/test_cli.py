@@ -62,6 +62,16 @@ class TestPointCommand:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("first", ["-9223372036854775808",
+                                       "99999999999999999999"])
+    def test_index_beyond_int64_is_1(self, tmp_path, capsys, first):
+        out = tmp_path / "p.seq"
+        assert run("point", "--first", first, "--length", "1",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: index {first} lies beyond level 24")
+        assert not out.exists()
+
 
 class TestBernoulliCommand:
     def test_reproducible_bytes(self, tmp_path):

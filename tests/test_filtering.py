@@ -59,6 +59,11 @@ class TestStepSignal:
         with pytest.raises(DomainError):
             make_signal([0, 1]).value_at(float("nan"))
 
+    @pytest.mark.parametrize("origin", [math.nan, math.inf])
+    def test_origin_must_be_finite(self, origin):
+        with pytest.raises(DomainError, match="origin"):
+            StepSignal(binary_window(0, [0, 1]), 0.1, origin)
+
 
 def run_isolated(source):
     """Run ``source`` in a fresh interpreter with a timeout, so that a call
@@ -167,6 +172,17 @@ class TestTrajectory:
             tracemalloc.stop()
         assert peak < 4 << 20
         assert np.array_equal(got, np.interp(q, t, v))
+
+    def test_at_holds_the_end_values_within_the_slack(self):
+        t = 0.25 * np.arange(1 << 12) - 3.0
+        tr = Trajectory(t, np.sin(t))
+        slack = _EDGE_TOL * tr.sample_dt
+        q = np.concatenate([
+            [tr.t_start - slack / 2, tr.t_start, tr.t_end,
+             tr.t_end + slack / 2],
+            np.random.default_rng(5).uniform(tr.t_start, tr.t_end, 1 << 16)])
+        clipped = np.interp(np.clip(q, tr.t_start, tr.t_end), t, np.sin(t))
+        assert np.array_equal(tr.at(q), clipped)
 
 
 class TestChiExact:
@@ -304,6 +320,21 @@ class TestChiQuadrature:
         s = make_signal([1] * 10)
         with pytest.raises(DomainError):
             chi_quadrature(s, config_for(s), 0.5, 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_time_must_be_finite(self, t):
+        s = make_signal([1] * 10)
+        with pytest.raises(DomainError, match="finite"):
+            chi_quadrature(s, config_for(s), t, 0.5)
+
+    def test_tail_starting_within_the_edge_slack_is_covered(self):
+        # [t - T, t] starts 1e-12 before the window, inside _EDGE_TOL * mu
+        s = StepSignal(binary_window(0, [1] * 10), 1.0)
+        cfg = FilterConfig(step=1.0, sample_dt=0.5)
+        q = chi_quadrature(s, cfg, 1.0, 1.0 + 1e-12)
+        assert q.value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-11)
+        with pytest.raises(CoverageError):
+            chi_quadrature(s, cfg, 1.0, 1.0 + 1e-8)
 
     def test_coverage(self):
         s = make_signal([1] * 10)
@@ -569,6 +600,29 @@ def test_chi_exact_allocates_its_samples_once():
         tracemalloc.stop()
     assert len(tr) > 1 << 21
     assert peak < 2.5 * 8 * len(tr)
+
+
+def test_chi_exact_coverage_error_raises_before_allocating():
+    # 2e7 samples would take 320 MB; the signal covers only 100 time units
+    s = make_signal([1, 0] * 500)
+    cfg = FilterConfig(decay=1.0, step=0.1, sample_dt=0.001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoverageError, match="piece 1000 needed near"):
+            chi_exact(s, cfg, 0.0, 20000.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("t_start, t_end", [
+    (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+])
+def test_chi_exact_time_bounds_must_be_finite(t_start, t_end):
+    s = make_signal([1, 0, 1])
+    with pytest.raises(DomainError, match="finite"):
+        chi_exact(s, config_for(s), t_start, t_end, 0.0)
 
 
 def test_chi_exact_sample_limit_raises_before_allocating():

@@ -1,7 +1,9 @@
 """The recursive string family and the assembled recurrent point.
 
 The oracle here rebuilds the point by literal concatenation of family
-strings, fully independent of the package's closed-form symbol lookup.
+strings, fully independent of the package's closed-form symbol lookup.  The
+two-table lookup that the |n| closed form replaced is kept as a second,
+differential reference over the whole supported range.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from unpredictable import (DomainError, ResourceError, family, point_symbol,
                            point_window)
+from unpredictable.point import MAX_LEVEL, MAX_WINDOW
 
 RIGHT_TOTAL_24 = 23 * 2 ** 24 + 1       # right-side symbols through level 24
 LEFT_TOTAL_24 = RIGHT_TOTAL_24 - 1      # left side omits the level-1 string
@@ -148,3 +151,106 @@ class TestEmbeddedPatterns:
         for width in range(1, 9):
             seen = {text[i:i + width] for i in range(len(text) - width + 1)}
             assert len(seen) == 2 ** width
+
+
+def _right_cum(r: int) -> int:
+    # symbols at indices 0..R-1 after laying down levels 1..r on the right
+    return (r - 1) * (1 << r) + 1 if r >= 1 else 0
+
+
+def _left_cum(r: int) -> int:
+    # symbols at indices -L..-1 after laying down levels 2..r on the left
+    return _right_cum(r) - 1 if r >= 2 else 0
+
+
+_RIGHT_CUM = np.array([_right_cum(r) for r in range(MAX_LEVEL + 1)],
+                      dtype=np.int64)
+_LEFT_CUM = np.array([_left_cum(r) for r in range(MAX_LEVEL + 1)],
+                     dtype=np.int64)
+
+
+def _symbols_at(indices: np.ndarray) -> np.ndarray:
+    """The two-table lookup the |n| closed form replaced, kept verbatim."""
+    out = np.empty(indices.shape, dtype=np.int64)
+
+    pos = indices >= 0
+    n = indices[pos]
+    if n.size:
+        r = np.searchsorted(_RIGHT_CUM, n, side="right")
+        if r.size and int(r.max()) > MAX_LEVEL:
+            raise ResourceError(
+                f"index {int(n.max())} lies beyond level {MAX_LEVEL}")
+        m = n - _RIGHT_CUM[r - 1]
+        q, c = np.divmod(m, r)
+        # string number 2q (0-based) of level r, digit c from the left
+        out[pos] = (2 * q >> (r - 1 - c)) & 1
+
+    d = -indices[~pos]
+    if d.size:
+        r = np.searchsorted(_LEFT_CUM, d, side="left")
+        if r.size and int(r.max()) > MAX_LEVEL:
+            raise ResourceError(
+                f"index {-int(d.max())} lies beyond level {MAX_LEVEL}")
+        m = d - 1 - _LEFT_CUM[r - 1]
+        q, c = np.divmod(m, r)
+        # string number 2q + 1 of level r, digit c from the right
+        out[~pos] = (2 * q + 1 >> c) & 1
+
+    return out
+
+
+def assert_window_matches_two_tables(first, length):
+    """point_window and the two-table lookup agree on the symbols, or raise
+    the same ResourceError."""
+    indices = first + np.arange(length, dtype=np.int64)
+    try:
+        want = _symbols_at(indices)
+    except ResourceError as exc:
+        with pytest.raises(ResourceError) as got:
+            point_window(first, length)
+        assert str(got.value) == str(exc)
+        return
+    w = point_window(first, length)
+    assert w.symbols.dtype == np.float64
+    assert np.array_equal(w.symbols, want)
+
+
+class TestTwoTableReference:
+    @pytest.mark.parametrize("first", range(-2 ** 21, 2 ** 21, MAX_WINDOW))
+    def test_every_index_near_the_origin(self, first):
+        assert_window_matches_two_tables(first, MAX_WINDOW)
+
+    @pytest.mark.parametrize("first, length", [
+        (RIGHT_TOTAL_24 - MAX_WINDOW, MAX_WINDOW),
+        (RIGHT_TOTAL_24 - 1, 1),
+        (RIGHT_TOTAL_24 - 7, 8),           # one past the right end
+        (RIGHT_TOTAL_24, 1),
+        (-LEFT_TOTAL_24, MAX_WINDOW),
+        (-LEFT_TOTAL_24, 1),
+        (-LEFT_TOTAL_24 - 1, 8),           # one past the left end
+        (-LEFT_TOTAL_24 - 8, 8),
+        (-3, 7),                           # straddles the origin
+    ])
+    def test_windows_at_both_ends(self, first, length):
+        assert_window_matches_two_tables(first, length)
+
+    def test_random_indices(self):
+        rng = np.random.default_rng(20191028)
+        indices = rng.integers(-LEFT_TOTAL_24, RIGHT_TOTAL_24, 10 ** 5)
+        want = _symbols_at(indices)
+        assert [point_symbol(i) for i in indices.tolist()] == want.tolist()
+
+
+class TestLevelLimitOnExactIntegers:
+    @pytest.mark.parametrize("index", [-2 ** 63, 2 ** 63, -2 ** 64,
+                                       99999999999999999999])
+    def test_far_indices_raise(self, index):
+        with pytest.raises(ResourceError, match=f"index {index} lies beyond"):
+            point_symbol(index)
+        with pytest.raises(ResourceError, match=f"index {index} lies beyond"):
+            point_window(index, 1)
+
+    def test_window_names_its_last_index(self):
+        with pytest.raises(ResourceError,
+                           match=f"index {2 ** 63 + 4} lies beyond"):
+            point_window(2 ** 63, 5)

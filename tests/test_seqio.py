@@ -50,6 +50,7 @@ def test_sequence_file_round_trip(tmp_path):
     "alphabet: 0.0,1.0\nfirst_index: 0\n",
     "alphabet: 0.0,1.0\nfirst_index: 0\n0,1\nextra\n",
     "first_index: 0\nalphabet: 0.0,1.0\n0,1\n",
+    "alphabet: 0.0,1.0\nfirst: 0\n0,1\n",
     "alphabet: 0.0,1.0\nfirst_index: zero\n0,1\n",
     "alphabet: 0.0,1.0\nfirst_index: 0\n0,x\n",
     "alphabet: 0.0\nfirst_index: 0\n0,0\n",

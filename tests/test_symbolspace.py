@@ -77,6 +77,11 @@ class TestSequenceWindow:
         with pytest.raises(CoverageError):
             w.segment(0, 2)
 
+    def test_segment_bounds_out_of_order(self):
+        w = window(0, [0, 1, 1])
+        with pytest.raises(DomainError, match="out of order"):
+            w.segment(2, 1)
+
     def test_value_at_outside(self):
         w = window(0, [0, 1])
         with pytest.raises(CoverageError):

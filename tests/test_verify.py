@@ -137,6 +137,14 @@ class TestQualifyingShifts:
 
 
 class TestOrbitReturns:
+    @pytest.mark.parametrize("half_width, max_shift", [
+        (0, 4), (4, 0), (-1, 4), (4, -3),
+    ])
+    def test_arguments_must_be_positive(self, half_width, max_shift):
+        w = binary_window(-40, [1] * 100)
+        with pytest.raises(DomainError, match="positive"):
+            orbit_return_distances(w, half_width, max_shift)
+
     def test_constant_returns_exactly(self):
         w = binary_window(-40, [1] * 100)
         for _, d in orbit_return_distances(w, 8, 16):
@@ -204,6 +212,19 @@ def filtered_point(point_64k):
 
 
 class TestFunctionSearch:
+    @pytest.mark.parametrize("compact", [(4.0, 0.0), (1.0, 1.0)])
+    def test_compact_bounds_out_of_order(self, compact):
+        with pytest.raises(DomainError, match="compact"):
+            find_function_witnesses(flat_trajectory(), [5.0], compact,
+                                    sigma=0.5, tolerance=1e-9, epsilon0=0.1)
+
+    @pytest.mark.parametrize("domain", [(40.0, 0.0), (3.0, 3.0)])
+    def test_domain_bounds_out_of_order(self, domain):
+        with pytest.raises(DomainError, match="domain"):
+            find_function_witnesses(math.sin, [5.0], (0.0, 4.0), sigma=0.5,
+                                    tolerance=1e-9, epsilon0=0.1,
+                                    sample_dt=0.01, domain=domain)
+
     def test_zero_function_is_inconsistent(self):
         tr = flat_trajectory()
         result = find_function_witnesses(tr, [5.0, 10.0], (0.0, 4.0),
@@ -342,6 +363,11 @@ class TestVerifyFiltered:
     def test_empty_shift_list_is_a_domain_error(self):
         with pytest.raises(DomainError):
             verify_filtered(point_window(-64, 256), shifts=[], **FLAGS)
+
+    def test_no_qualifying_integer_shift_is_a_domain_error(self):
+        # a constant window returns under every shift but never separates
+        with pytest.raises(DomainError, match="no qualifying integer shifts"):
+            verify_filtered(binary_window(-64, [1] * 256), **FLAGS)
 
     @pytest.mark.parametrize("params", [
         {"tolerance": math.nan},
