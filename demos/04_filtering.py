@@ -10,14 +10,15 @@ an independent tail quadrature cross-checks the recurrence.
 import numpy as np
 
 from unpredictable import (BINARY, BernoulliSpec, FilterConfig, StepSignal,
-                           chi_exact, chi_quadrature, realize, solve_ode)
+                           chi_exact, chi_quadrature, realize)
 
 drive = StepSignal(realize(BernoulliSpec(BINARY, (0.5, 0.5), 42, 1000)),
                    step=0.1)
 config = FilterConfig(decay=1.0, step=0.1, sample_dt=0.01)
 
-low = solve_ode(drive, config, 0.0, 100.0)
-high = solve_ode(drive, config, 1.0, 100.0)
+# chi_exact from t = 0 with start value phi0 solves the ODE with x(0) = phi0
+low = chi_exact(drive, config, 0.0, 100.0, 0.0)
+high = chi_exact(drive, config, 0.0, 100.0, 1.0)
 print(f"samples: {len(low)}, range [{low.values.min():.4f}, "
       f"{high.values.max():.4f}]")
 

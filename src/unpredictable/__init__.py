@@ -13,7 +13,7 @@ from .errors import (CoverageError, DomainError, ResolutionError,
                      ResourceError, UnpredictableError)
 from .filtering import (MAX_SAMPLES, FilterConfig, QuadratureResult,
                         SeparationConstants, StepSignal, Trajectory, chi_exact,
-                        chi_quadrature, separation_constants, solve_ode)
+                        chi_quadrature, separation_constants)
 from .point import (MAX_LEVEL, MAX_WINDOW, StringFamily, family,
                     point_symbol, point_window)
 from .seqio import (format_json_report, format_sequence,
@@ -43,6 +43,6 @@ __all__ = [
     "orbit_return_distances", "parse_sequence", "parse_trajectory_csv",
     "point_symbol", "point_window", "qualifying_shifts", "read_sequence",
     "read_trajectory_csv", "realize", "separation_constants",
-    "sequence_report", "shift", "solve_ode", "verify_filtered",
-    "write_json_report", "write_sequence", "write_trajectory_csv",
+    "sequence_report", "shift", "verify_filtered", "write_json_report",
+    "write_sequence", "write_trajectory_csv",
 ]

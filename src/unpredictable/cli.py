@@ -15,7 +15,7 @@ import sys
 
 from .bernoulli import BernoulliSpec, realize
 from .errors import DomainError, UnpredictableError
-from .filtering import FilterConfig, StepSignal, solve_ode
+from .filtering import FilterConfig, StepSignal, chi_exact
 from .point import point_window
 from .seqio import (format_json_report, read_sequence, write_json_report,
                     write_sequence, write_trajectory_csv)
@@ -50,7 +50,7 @@ def _cmd_filter(args) -> int:
     seq = read_sequence(args.infile)
     signal = StepSignal(seq, args.mu)
     config = FilterConfig(decay=args.decay, step=args.mu, sample_dt=args.dt)
-    traj = solve_ode(signal, config, args.phi0, args.t_end)
+    traj = chi_exact(signal, config, 0.0, args.t_end, args.phi0)
     write_trajectory_csv(args.out, traj, args.digits)
     return 0
 

@@ -82,13 +82,9 @@ class StepSignal:
         """Largest |pi(t)| attained on the covered range."""
         return float(np.max(np.abs(self.sequence.symbols)))
 
-    def piece_value(self, k: int) -> float:
-        return self.sequence.value_at(k)
-
     def value_at(self, t: float) -> float:
         """pi(t) for a time inside the covered range."""
-        k = _piece_index(self.origin, self.step, t)
-        return self.piece_value(k)
+        return self.sequence.value_at(_piece_index(self.origin, self.step, t))
 
 
 @dataclass(frozen=True)
@@ -180,9 +176,12 @@ class Trajectory:
         """Values at the requested times, linearly interpolated.
 
         Raises:
+            DomainError: a requested time is NaN.
             CoverageError: a requested time lies outside the sampled span.
         """
         q = np.asarray(t, dtype=np.float64)
+        if np.isnan(q).any():
+            raise DomainError("time must not be NaN")
         slack = _EDGE_TOL * (self.sample_dt if len(self) > 1 else 1.0)
         if np.any(q < self.t_start - slack) or np.any(q > self.t_end + slack):
             raise CoverageError("requested time outside the sampled span")
@@ -242,7 +241,7 @@ def _chain(signal: StepSignal, lam: float, k: int, t_ref: float,
 
 def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
               t_end: float, chi_start: float) -> Trajectory:
-    """Integrate the filter over [t_start, t_end] from a known start value.
+    """Integrate x' = -lambda*x + pi(t) over [t_start, t_end] from chi_start.
 
     Samples are taken every ``config.sample_dt`` starting at ``t_start``; the
     last sample is the largest grid point not beyond ``t_end``.  The samples
@@ -309,16 +308,6 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
             chi = _chain(signal, lam, k, t_ref, chi, last_p + 1)[1][-1]
         values[covered:] = chi
     return Trajectory._owning(times, values)
-
-
-def solve_ode(signal: StepSignal, config: FilterConfig, phi0: float,
-              t_end: float) -> Trajectory:
-    """Solve x' = -lambda*x + pi(t) on [0, t_end] with x(0) = phi0.
-
-    This is the same integral as :func:`chi_exact` anchored at time zero,
-    and it uses the same exact recurrence.
-    """
-    return chi_exact(signal, config, 0.0, t_end, phi0)
 
 
 def chi_quadrature(signal: StepSignal, config: FilterConfig, t: float,

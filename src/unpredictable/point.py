@@ -46,7 +46,7 @@ from .symbolspace import BINARY, SequenceWindow
 #: Deepest family level symbol lookup will walk to.
 MAX_LEVEL = 24
 
-#: Largest window length point_window will materialize.
+#: Most symbols point_window or family will materialize.
 MAX_WINDOW = 1 << 20
 
 #: Levels 1..r hold the indices with |n| < _CUM[r], on either side.
@@ -66,18 +66,21 @@ class StringFamily:
             raise DomainError("string count does not match the level")
 
 
-def family(level: int, max_level: int = MAX_LEVEL) -> StringFamily:
+def family(level: int) -> StringFamily:
     """Generate one level of the string family by the append recursion.
 
     Raises:
         DomainError: level < 1.
-        ResourceError: level exceeds ``max_level``.
+        ResourceError: level exceeds ``MAX_LEVEL``, or its r * 2**r symbols
+            exceed ``MAX_WINDOW``, as for a window (so r <= 16).
     """
     r = int(level)
     if r < 1:
         raise DomainError("level must be a positive integer")
-    if r > max_level:
-        raise ResourceError(f"level {r} exceeds the maximum {max_level}")
+    if r > MAX_LEVEL:
+        raise ResourceError(f"level {r} exceeds the maximum {MAX_LEVEL}")
+    if r << r > MAX_WINDOW:
+        raise ResourceError(f"level {r} needs {r << r} > {MAX_WINDOW} symbols")
     strings = ("0", "1")
     for _ in range(r - 1):
         strings = tuple(s + bit for s in strings for bit in "01")

@@ -22,7 +22,8 @@ from .symbolspace import Alphabet, SequenceWindow
 
 def format_sequence(window: SequenceWindow) -> str:
     alphabet = ",".join(repr(v) for v in window.alphabet.values)
-    indices = ",".join(str(i) for i in window.to_indices().tolist())
+    names = np.array([str(i) for i in range(len(window.alphabet))], object)
+    indices = ",".join(names[window.to_indices()].tolist())
     return (f"alphabet: {alphabet}\n"
             f"first_index: {window.first_index}\n"
             f"{indices}\n")

@@ -59,13 +59,6 @@ class Alphabet:
         ordered = sorted(self.values)
         return min(b - a for a, b in zip(ordered, ordered[1:]))
 
-    def index_of(self, value: float) -> int:
-        """Position of ``value`` in the alphabet (exact match)."""
-        try:
-            return self.values.index(float(value))
-        except ValueError:
-            raise DomainError(f"{value!r} is not an alphabet symbol") from None
-
 
 #: The two-symbol alphabet {0, 1} used by the binary constructions.
 BINARY = Alphabet((0.0, 1.0))

@@ -29,12 +29,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, ResolutionError
-from .filtering import (_BLOCK, _EDGE_TOL, FilterConfig, StepSignal,
-                        Trajectory, chi_exact, separation_constants)
+from .errors import CoverageError, DomainError, ResolutionError, ResourceError
+from .filtering import (_BLOCK, _EDGE_TOL, MAX_SAMPLES, FilterConfig,
+                        StepSignal, Trajectory, chi_exact,
+                        separation_constants)
 from .symbolspace import SequenceWindow, metric_distance, shift
 
 _VERDICTS = ("consistent", "inconsistent", "inconclusive")
+
+
+class _Verdict:
+    """The check shared by the verdict records: a known verdict string."""
+
+    def __post_init__(self) -> None:
+        if self.verdict not in _VERDICTS:
+            raise DomainError(f"verdict must be one of {_VERDICTS}")
 
 
 @dataclass(frozen=True)
@@ -49,14 +58,10 @@ class SequenceWitness:
 
 
 @dataclass(frozen=True)
-class SequenceVerdict:
+class SequenceVerdict(_Verdict):
     witnesses: tuple[SequenceWitness, ...]
     epsilon0_achieved: float
     verdict: str
-
-    def __post_init__(self) -> None:
-        if self.verdict not in _VERDICTS:
-            raise DomainError(f"verdict must be one of {_VERDICTS}")
 
 
 @dataclass(frozen=True)
@@ -71,14 +76,10 @@ class FunctionWitness:
 
 
 @dataclass(frozen=True)
-class FunctionVerdict:
+class FunctionVerdict(_Verdict):
     witnesses: tuple[FunctionWitness, ...]
     separation_achieved: float
     verdict: str
-
-    def __post_init__(self) -> None:
-        if self.verdict not in _VERDICTS:
-            raise DomainError(f"verdict must be one of {_VERDICTS}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -232,9 +233,17 @@ def _sliding_min(x: np.ndarray, win: int) -> np.ndarray:
     return x
 
 
-def _search_spacing(sigma: float, tolerance: float, epsilon0: float,
-                    sample_dt: float | None) -> float:
-    """Check the function search's parameters; return its grid spacing."""
+def _search_args(compact, shifts, sigma, tolerance, epsilon0, sample_dt):
+    """Check the function search's arguments before any work; return the
+    compact bounds, sorted shifts, grid spacing and compact grid size."""
+    alpha, beta = float(compact[0]), float(compact[1])
+    if not alpha < beta:
+        raise DomainError("compact interval bounds out of order")
+    shifts = sorted(float(s) for s in shifts)
+    if not shifts:
+        raise DomainError("need at least one shift candidate")
+    if shifts[0] <= 0:
+        raise DomainError("shift candidates must be positive")
     _check_positive("sigma", sigma)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise DomainError("tolerance must be finite and nonnegative")
@@ -243,7 +252,10 @@ def _search_spacing(sigma: float, tolerance: float, epsilon0: float,
     _check_positive("sample_dt", dt)
     if dt > sigma / 8.0 * (1.0 + _EDGE_TOL):
         raise ResolutionError("sample_dt must be at most sigma / 8")
-    return dt
+    steps = (beta - alpha) / dt + _EDGE_TOL
+    if steps >= MAX_SAMPLES - 1:
+        raise ResourceError(f"the compact grid needs {MAX_SAMPLES}+ points")
+    return alpha, beta, shifts, dt, int(steps) + 1
 
 
 def find_function_witnesses(h: Trajectory | Callable,
@@ -272,26 +284,19 @@ def find_function_witnesses(h: Trajectory | Callable,
 
     Raises:
         ResolutionError: sample_dt exceeds sigma / 8.
+        ResourceError: the compact grid needs ``MAX_SAMPLES`` points or more.
         CoverageError: the domain cannot hold [a, b + max shift].
         DomainError: a parameter is out of range, or the callable returns
             NaN or inf.
     """
     func, (d_lo, d_hi) = _as_evaluator(h, domain)
-    alpha, beta = float(compact[0]), float(compact[1])
-    if not alpha < beta:
-        raise DomainError("compact interval bounds out of order")
-    shifts = sorted(float(s) for s in t_shift_candidates)
-    if not shifts:
-        raise DomainError("need at least one shift candidate")
-    if shifts[0] <= 0:
-        raise DomainError("shift candidates must be positive")
-    dt = _search_spacing(sigma, tolerance, epsilon0, sample_dt)
+    alpha, beta, shifts, dt, n_compact = _search_args(
+        compact, t_shift_candidates, sigma, tolerance, epsilon0, sample_dt)
     if alpha < d_lo - _EDGE_TOL * dt or beta + shifts[-1] > d_hi + _EDGE_TOL * dt:
         raise CoverageError(
             f"domain [{d_lo}, {d_hi}] cannot hold "
             f"[{alpha}, {beta + shifts[-1]}]")
 
-    n_compact = int(np.floor((beta - alpha) / dt + _EDGE_TOL)) + 1
     win = int(round(2.0 * sigma / dt)) + 1
     compact_grid = alpha + dt * np.arange(n_compact)
     h_compact = func(compact_grid)
@@ -414,8 +419,9 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
         if auto:
             tolerance += amp * math.exp(-decay * half_width * mu)
     # fail before the integration, not after it
-    _search_spacing(sigma, tolerance, epsilon0, dt)
-    t_hi = compact[1] + max(shifts, default=0.0) + 4.0 * sigma
+    _, beta, ordered, _, _ = _search_args(compact, shifts, sigma, tolerance,
+                                          epsilon0, dt)
+    t_hi = beta + ordered[-1] + 4.0 * sigma
     traj = chi_exact(signal, config, -burn_in, t_hi, phi0)
     result = find_function_witnesses(traj, shifts, compact, sigma,
                                      tolerance, epsilon0, sample_dt=dt)

@@ -15,7 +15,7 @@ from unpredictable import (BINARY, BernoulliSpec, FilterConfig, StepSignal,
                            find_function_witnesses, find_sequence_witnesses,
                            function_report, metric_distance, point_window,
                            read_sequence, read_trajectory_csv, realize,
-                           separation_constants, shift, solve_ode)
+                           separation_constants, shift)
 from unpredictable.cli import main
 
 
@@ -53,8 +53,8 @@ def test_criterion_2_transient_bound():
     w = realize(BernoulliSpec(BINARY, (0.5, 0.5), 42, 1000))
     s = StepSignal(w, 0.1)
     cfg = FilterConfig(decay=1.0, step=0.1, sample_dt=0.01)
-    lo = solve_ode(s, cfg, 0.0, 100.0)
-    hi = solve_ode(s, cfg, 1.0, 100.0)
+    lo = chi_exact(s, cfg, 0.0, 100.0, 0.0)
+    hi = chi_exact(s, cfg, 0.0, 100.0, 1.0)
     gap = hi.values - lo.values
     # the initial gap is exactly 1, so "relative" and absolute coincide
     worst = float(np.max(np.abs(gap - np.exp(-lo.times))))

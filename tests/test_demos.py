@@ -1,6 +1,7 @@
-"""Every demo script runs to completion."""
+"""Every demo script and the README's quick start run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,16 @@ def test_demo_exits_0(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    verdict, gap = proc.stdout.splitlines()
+    assert verdict == "consistent [34, 1314, 2206]"
+    assert float(gap) < 1e-12

@@ -18,7 +18,7 @@ from unpredictable import (BINARY, MAX_SAMPLES, Alphabet, BernoulliSpec,
                            CoverageError, DomainError, FilterConfig,
                            ResourceError, SequenceWindow, StepSignal,
                            Trajectory, chi_exact, chi_quadrature, filtering,
-                           realize, separation_constants, solve_ode)
+                           realize, separation_constants)
 from unpredictable.filtering import _EDGE_TOL, _check_pair, _piece_index
 
 
@@ -129,6 +129,14 @@ class TestTrajectory:
         tr = Trajectory(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(CoverageError):
             tr.at(1.5)
+
+    @pytest.mark.parametrize("q", [math.nan, [0.5, math.nan, 1.5]],
+                             ids=["scalar", "array"])
+    def test_at_rejects_nan_times(self, q):
+        # NaN fails both bound comparisons, so the coverage check misses it
+        tr = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0]))
+        with pytest.raises(DomainError, match="time must not be NaN"):
+            tr.at(q)
 
     def test_owns_read_only_samples(self):
         t, v = np.arange(5.0), np.arange(5.0) ** 2
@@ -267,15 +275,9 @@ class TestChiExact:
 
 
 class TestSolveOde:
-    def test_matches_chi_exact_anchor(self):
-        s = make_signal([1, 0, 1, 0, 1])
-        a = solve_ode(s, config_for(s), 0.25, 0.5)
-        b = chi_exact(s, config_for(s), 0.0, 0.5, 0.25)
-        assert np.array_equal(a.values, b.values)
-
     def test_homogeneous_decay(self):
         s = make_signal([0] * 120)
-        tr = solve_ode(s, config_for(s), 0.5, 10.0)
+        tr = chi_exact(s, config_for(s), 0.0, 10.0, 0.5)
         expected = 0.5 * np.exp(-tr.times)
         rel = np.abs(tr.values - expected) / expected
         assert float(rel.max()) < 1e-12
@@ -283,8 +285,8 @@ class TestSolveOde:
     def test_transient_forgets_initial_value(self):
         w = realize(BernoulliSpec(BINARY, (0.5, 0.5), 42, 1000))
         s = StepSignal(w, 0.1)
-        lo = solve_ode(s, config_for(s), 0.0, 100.0)
-        hi = solve_ode(s, config_for(s), 1.0, 100.0)
+        lo = chi_exact(s, config_for(s), 0.0, 100.0, 0.0)
+        hi = chi_exact(s, config_for(s), 0.0, 100.0, 1.0)
         gap = hi.values - lo.values
         # the gap itself decays exactly like exp(-t), within rounding
         assert float(np.max(np.abs(gap - np.exp(-lo.times)))) < 1e-12
@@ -499,7 +501,7 @@ def _chi_exact_reference(signal, config, t_start, t_end, chi_start):
                     f"signal does not cover piece {k} needed near t={t_ref!r}")
             values[i:] = chi
             break
-        v = signal.piece_value(k)
+        v = signal.sequence.value_at(k)
         b_next = signal.origin + (k + 1) * mu
         j = int(np.searchsorted(times, b_next, side="left"))
         if j > i:

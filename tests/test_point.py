@@ -73,9 +73,15 @@ class TestFamily:
         with pytest.raises(ResourceError):
             family(25)
 
-    def test_custom_cap(self):
-        with pytest.raises(ResourceError):
-            family(9, max_level=8)
+    def test_allocation_limit(self):
+        # level r holds r * 2**r symbols: level 16 is exactly MAX_WINDOW
+        assert 16 << 16 == MAX_WINDOW
+        assert len(family(16).strings) == 1 << 16
+        with pytest.raises(ResourceError, match="symbols"):
+            family(17)
+        # the level cap is checked first, before r << r is formed
+        with pytest.raises(ResourceError, match=f"maximum {MAX_LEVEL}"):
+            family(10 ** 9)
 
 
 class TestPointSymbols:

@@ -34,6 +34,26 @@ def test_sequence_round_trip_awkward_alphabet():
     assert back.alphabet.values == a.values
 
 
+def _format_sequence_reference(window):
+    """The str(i)-per-symbol writer the name table replaced."""
+    alphabet = ",".join(repr(v) for v in window.alphabet.values)
+    indices = ",".join(str(i) for i in window.to_indices().tolist())
+    return (f"alphabet: {alphabet}\n"
+            f"first_index: {window.first_index}\n"
+            f"{indices}\n")
+
+
+@pytest.mark.parametrize("size", [2, 3, 12])
+def test_sequence_text_matches_the_per_symbol_writer(size):
+    # negative values, and positions of two digits once size > 10
+    a = Alphabet(tuple(-2.5 + 0.75 * k for k in range(size)))
+    idx = np.random.default_rng(size).integers(0, size, 5000)
+    idx[:size] = np.arange(size)
+    for first in (-2600, 0, 17):
+        w = SequenceWindow.from_indices(a, first, idx)
+        assert format_sequence(w) == _format_sequence_reference(w)
+
+
 def test_sequence_file_round_trip(tmp_path):
     p = tmp_path / "w.seq"
     w = SequenceWindow.from_indices(BINARY, 0, [0, 1, 1, 0, 1])

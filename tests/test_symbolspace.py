@@ -47,12 +47,6 @@ class TestAlphabet:
         assert a.diameter == 1.0
         assert a.epsilon0 == 0.25
 
-    def test_index_of(self):
-        a = Alphabet((0.5, -1.0, 2.0))
-        assert a.index_of(-1.0) == 1
-        with pytest.raises(DomainError):
-            a.index_of(3.0)
-
 
 class TestSequenceWindow:
     def test_symbols_must_be_members(self):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from unpredictable import (BINARY, Alphabet, BernoulliSpec, CoverageError,
                            DomainError, FilterConfig, ResolutionError,
-                           SequenceWindow, StepSignal, Trajectory, chi_exact,
+                           ResourceError, SequenceWindow, StepSignal,
+                           Trajectory, chi_exact,
                            find_function_witnesses, find_sequence_witnesses,
                            metric_distance, orbit_return_distances,
                            point_window, qualifying_shifts, realize,
@@ -309,6 +310,20 @@ class TestFunctionSearch:
             find_function_witnesses(tr, [], (0.0, 4.0), sigma=0.5,
                                     tolerance=1.0, epsilon0=0.1)
 
+    def test_compact_grid_is_capped(self):
+        # 4 / (1e-9 / 8) = 3.2e10 compact points used to end in a raw
+        # MemoryError from numpy
+        with pytest.raises(ResourceError, match="compact grid"):
+            find_function_witnesses(flat_trajectory(), [1.0], (0.0, 4.0),
+                                    sigma=1e-9, tolerance=1.0, epsilon0=0.1)
+        # (0, 4) every 0.01 is 401 points: refused at a cap of 401 only
+        args = (flat_trajectory(), [1.0], (0.0, 4.0), 0.08, 1.0, 0.1)
+        with mock.patch.object(verify, "MAX_SAMPLES", 401):
+            with pytest.raises(ResourceError):
+                find_function_witnesses(*args)
+        with mock.patch.object(verify, "MAX_SAMPLES", 402):
+            find_function_witnesses(*args)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["sigma", "tolerance", "epsilon0"])
     def test_non_finite_parameters(self, name, bad):
@@ -381,6 +396,19 @@ class TestVerifyFiltered:
             with pytest.raises((DomainError, ResolutionError)):
                 verify_filtered(point_window(-64, 256), shifts=[34.0],
                                 **params, **FLAGS)
+
+    @pytest.mark.parametrize("params", [
+        {"compact": (2.0, 0.0), "shifts": [34.0]},
+        {"shifts": []},
+        {"shifts": [-5.0]},
+        {"sigma": 1e-9, "shifts": [34.0]},      # a compact grid of 1.6e10
+    ])
+    def test_compact_and_shifts_are_checked_before_filtering(self, params):
+        with mock.patch.object(verify, "chi_exact",
+                               side_effect=AssertionError("integrated")):
+            with pytest.raises((DomainError, ResourceError)):
+                verify_filtered(point_window(-64, 256),
+                                **{**FLAGS, **params})
 
 
 # -- the dense scan as a differential reference ------------------------------
@@ -633,7 +661,7 @@ def sequence_cases(draw):
         symbols = np.resize(values[rng.integers(0, values.size, period)], n)
         if kind == "flipped":
             j = draw(st.integers(0, n - 1))
-            other = alphabet.index_of(symbols[j]) + draw(
+            other = alphabet.values.index(symbols[j]) + draw(
                 st.integers(1, values.size - 1))
             symbols[j] = values[other % values.size]
     seq = SequenceWindow(alphabet, -L - before, symbols)
