@@ -5,13 +5,18 @@ Draws use the Mersenne Twister behind :class:`random.Random`, whose
 versions by documented guarantee.  Each draw maps a uniform variate through
 the inverse of the cumulative symbol distribution, so a spec (alphabet,
 probabilities, seed, length) always produces the same window, on any machine.
+
+``getrandbits`` emits the generator's 32-bit words least significant first,
+the order in which ``random()`` takes them two at a time, so variates rebuilt
+from its bits equal ``bisect_right(cuts, rng.random())`` draw for draw; the
+tests keep that stdlib loop as the reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -22,6 +27,9 @@ from .point import MAX_WINDOW
 from .symbolspace import Alphabet, SequenceWindow
 
 _SUM_TOL = 1e-12
+
+#: Draws taken from the generator per ``getrandbits`` call in ``realize``.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,25 +57,36 @@ class BernoulliSpec:
             raise DomainError("probabilities must lie in [0, 1]")
         if abs(sum(probs) - 1.0) > _SUM_TOL:
             raise DomainError("probabilities must sum to 1")
-        if not 0 <= int(self.seed) < 1 << 64:
+        try:
+            seed, length = map(operator.index, (self.seed, self.length))
+        except TypeError:
+            raise DomainError("seed and length must be integers") from None
+        if not 0 <= seed < 1 << 64:
             raise DomainError("seed must fit in 64 unsigned bits")
-        if int(self.length) < 1:
+        if length < 1:
             raise DomainError("length must be a positive integer")
-        if int(self.length) > MAX_WINDOW:
-            raise ResourceError(f"length {self.length} exceeds {MAX_WINDOW}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "length", int(self.length))
+        if length > MAX_WINDOW:
+            raise ResourceError(f"length {length} exceeds {MAX_WINDOW}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "length", length)
 
 
 def realize(spec: BernoulliSpec) -> SequenceWindow:
     """Draw the realization described by ``spec`` as a window at index 0.
 
     The i-th symbol is the alphabet entry whose cumulative probability
-    interval contains the i-th ``random()`` variate.
+    interval contains the i-th ``random()`` variate, rebuilt exactly in
+    blocks from ``getrandbits``: words a, b give ((a>>5)*2**26 + (b>>6))/2**53.
     """
     rng = random.Random(spec.seed)
-    cuts = list(accumulate(spec.probabilities[:-1]))
-    idx = np.fromiter(
-        (bisect_right(cuts, rng.random()) for _ in range(spec.length)),
-        dtype=np.int64, count=spec.length)
+    cuts = np.array(list(accumulate(spec.probabilities[:-1])))
+    idx = np.empty(spec.length, dtype=np.int64)
+    for lo in range(0, spec.length, _BLOCK):
+        k = min(_BLOCK, spec.length - lo)
+        bits = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        words = np.frombuffer(bits, "<u4")
+        u = (words[0::2] >> 5) * 67108864.0
+        u += words[1::2] >> 6
+        u *= 1.0 / (1 << 53)
+        idx[lo:lo + k] = np.searchsorted(cuts, u, side="right")
     return SequenceWindow.from_indices(spec.alphabet, 0, idx)

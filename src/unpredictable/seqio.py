@@ -38,10 +38,17 @@ def parse_sequence(text: str) -> SequenceWindow:
         raise DomainError("first line must start with 'alphabet:'")
     if not idx_head.startswith("first_index:"):
         raise DomainError("second line must start with 'first_index:'")
+    indices = None
+    if body.isascii() and len(body) % 2:    # single digits: "d,d,...,d"
+        raw = np.frombuffer(body.encode("ascii"), np.uint8)
+        digits = raw[0::2] - 48
+        if (digits < 10).all() and (raw[1::2] == 44).all():
+            indices = digits
     try:
         values = tuple(float(v) for v in head[len("alphabet:"):].split(","))
         first_index = int(idx_head[len("first_index:"):].strip())
-        indices = np.array(body.split(","), dtype=np.int64)
+        if indices is None:
+            indices = np.array(body.split(","), dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"malformed sequence file: {exc}") from None
     return SequenceWindow.from_indices(Alphabet(values), first_index, indices)

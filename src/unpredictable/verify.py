@@ -209,8 +209,8 @@ def _as_evaluator(h, domain):
     if domain is None:
         raise DomainError("a callable needs an explicit domain=(lo, hi)")
     lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise DomainError("domain bounds out of order")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"domain [{lo}, {hi}] must be finite and in order")
 
     def finite(t: np.ndarray) -> np.ndarray:
         out = np.asarray(h(t), dtype=np.float64)
@@ -237,6 +237,8 @@ def _search_args(compact, shifts, sigma, tolerance, epsilon0, sample_dt):
     """Check the function search's arguments before any work; return the
     compact bounds, sorted shifts, grid spacing and compact grid size."""
     alpha, beta = float(compact[0]), float(compact[1])
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError(f"compact bounds must be finite: [{alpha}, {beta}]")
     if not alpha < beta:
         raise DomainError("compact interval bounds out of order")
     shifts = sorted(float(s) for s in shifts)

@@ -1,12 +1,24 @@
 """Seeded realizations: reproducibility, marginals, validation."""
 
+import math
+import os
+import random
+import subprocess
+import sys
+from bisect import bisect_right
+from itertools import accumulate
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unpredictable
 from unpredictable import (BINARY, MAX_WINDOW, Alphabet, BernoulliSpec,
-                           DomainError, ResourceError, realize)
+                           DomainError, ResourceError, SequenceWindow,
+                           bernoulli, realize)
 
 FAIR = (0.5, 0.5)
 
@@ -97,15 +109,24 @@ def test_sum_tolerance_is_tight():
 
 def test_seed_range():
     BernoulliSpec(BINARY, FAIR, 2 ** 64 - 1, 1)
+    assert BernoulliSpec(BINARY, FAIR, np.uint64(2 ** 64 - 1), 1).seed == (
+        2 ** 64 - 1)
     with pytest.raises(DomainError):
         BernoulliSpec(BINARY, FAIR, 2 ** 64, 1)
     with pytest.raises(DomainError):
         BernoulliSpec(BINARY, FAIR, -1, 1)
+    # only integers: no NaN, no inf, no silent truncation, no strings
+    for seed in (float("nan"), float("inf"), 1.5, 7.0, "7"):
+        with pytest.raises(DomainError):
+            BernoulliSpec(BINARY, FAIR, seed, 1)
 
 
 def test_length_positive():
     with pytest.raises(DomainError):
         BernoulliSpec(BINARY, FAIR, 0, 0)
+    for length in (float("nan"), float("inf"), 2.7, 2.0, "2"):
+        with pytest.raises(DomainError):
+            BernoulliSpec(BINARY, FAIR, 0, length)
 
 
 def test_length_is_capped_at_max_window():
@@ -120,3 +141,91 @@ def test_length_is_capped_at_max_window():
 def test_realize_is_a_pure_function(seed, length):
     spec = BernoulliSpec(BINARY, FAIR, seed, length)
     assert realize(spec) == realize(spec)
+
+
+def _realize_reference(spec):
+    """The per-draw stdlib loop the blocked getrandbits route replaced."""
+    rng = random.Random(spec.seed)
+    cuts = list(accumulate(spec.probabilities[:-1]))
+    idx = np.fromiter(
+        (bisect_right(cuts, rng.random()) for _ in range(spec.length)),
+        dtype=np.int64, count=spec.length)
+    return SequenceWindow.from_indices(spec.alphabet, 0, idx)
+
+
+SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 12345)
+
+
+def signed_alphabet(size):
+    return Alphabet(tuple(-2.5 + 0.75 * k for k in range(size))[::-1])
+
+
+@pytest.mark.parametrize("probs", [
+    FAIR, (0.3, 0.7), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5 - 1e-13),
+    (0.2, 0.3, 0.5), (0.0, 0.4, 0.6), (0.3, 0.0, 0.7), (0.45, 0.55, 0.0),
+    (0.1, 0.2, 0.3, 0.4), (0.25, 0.25, 0.0, 0.5), (0.1, 0.2, 0.3, 0.4 - 1e-13),
+    (0.1, 0.15, 0.2, 0.25, 0.3), (0.0, 0.1, 0.0, 0.4, 0.5),
+    (0.2, 0.2, 0.2, 0.2, 0.2 - 1e-13),
+])
+def test_realize_equals_the_stdlib_loop(probs):
+    a = signed_alphabet(len(probs))
+    for seed in SEEDS:
+        spec = BernoulliSpec(a, probs, seed, 3000)
+        assert realize(spec) == _realize_reference(spec)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, bernoulli._BLOCK])
+def test_realize_blocks_equal_the_stdlib_loop(block):
+    a = signed_alphabet(3)
+    lengths = [n for n in (1, block - 1, block, block + 1, 3 * block + 7)
+               if n >= 1]
+    for n in lengths:
+        for seed in SEEDS:
+            spec = BernoulliSpec(a, (0.25, 0.0, 0.75), seed, n)
+            want = _realize_reference(spec)
+            with mock.patch.object(bernoulli, "_BLOCK", block):
+                assert realize(spec) == want
+
+
+def test_realize_resolves_each_variate_to_the_last_bit():
+    # a cut on, or one ulp either side of, a variate the stream draws tells
+    # apart any rebuilt variate that is off in its lowest bit
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for v in [rng.random() for _ in range(40)]:
+            for cut in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)):
+                spec = BernoulliSpec(BINARY, (cut, 1.0 - cut), seed, 40)
+                assert realize(spec) == _realize_reference(spec)
+
+
+@st.composite
+def probability_vectors(draw):
+    weights = draw(st.lists(st.integers(0, 12), min_size=2, max_size=5)
+                   .filter(any))
+    return tuple(w / sum(weights) for w in weights)
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1), length=st.integers(1, 400),
+       probs=probability_vectors(), block=st.sampled_from([1, 3, 64, 1 << 16]))
+@settings(max_examples=150, deadline=None)
+def test_realize_equals_the_stdlib_loop_for_any_spec(seed, length, probs,
+                                                      block):
+    spec = BernoulliSpec(signed_alphabet(len(probs)), probs, seed, length)
+    with mock.patch.object(bernoulli, "_BLOCK", block):
+        assert realize(spec) == _realize_reference(spec)
+
+
+def test_draws_and_file_reads_never_import_numpy_random():
+    # numpy.random adds about 6 MB of resident memory and import time to
+    # every CLI step; the package must draw and parse without it
+    code = ("import sys\n"
+            "from unpredictable import (BINARY, BernoulliSpec,"
+            " format_sequence, parse_sequence, realize)\n"
+            "w = realize(BernoulliSpec(BINARY, (0.5, 0.5), 0, 1000))\n"
+            "assert parse_sequence(format_sequence(w)) == w\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = Path(unpredictable.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout == "False\n"

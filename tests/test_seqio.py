@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unpredictable import (BINARY, Alphabet, DomainError, SequenceWindow,
                            Trajectory, format_json_report, format_sequence,
@@ -92,7 +94,9 @@ def sequence_text(body):
 
 @pytest.mark.parametrize("body", [
     "0,1,1", " 1, 0 ,1 ", "+1,0", "0_0,1", "0_0_1,0,1", "\t1,0 ",
-    "00001,0", "-0,+0", "\u0661,0", "\uff11,\u0660"])
+    "00001,0", "-0,+0", "\u0661,0", "\uff11,\u0660",
+    # break the single-digit layout late, so the int() path must take over
+    "0,1 ", "0,\u0661"])
 def test_index_line_parses_like_int(body):
     w = parse_sequence(sequence_text(body))
     assert w.first_index == 4
@@ -101,7 +105,8 @@ def test_index_line_parses_like_int(body):
 
 @pytest.mark.parametrize("body", [
     "", " ", "0,", ",1", "0,,1", "0,x", "1.0", "1e0", "0x1", "0b1", "1 0",
-    "1__0", "_1", "1_", "--1", "+-1", "- 1", "1-", "nan", "inf"])
+    "1__0", "_1", "1_", "--1", "+-1", "- 1", "1-", "nan", "inf",
+    "0,1,", ",0,1", "0;1"])
 def test_malformed_index_line_reports_what_int_reports(body):
     with pytest.raises(ValueError) as ref:
         int_parse_indices(body)
@@ -112,10 +117,26 @@ def test_malformed_index_line_reports_what_int_reports(body):
 
 @pytest.mark.parametrize("body", [
     "0,99999999999999999999", "9223372036854775807",
-    "0,9223372036854775808", "-9223372036854775809", "1," + "9" * 400])
+    "0,9223372036854775808", "-9223372036854775809", "1," + "9" * 400,
+    "0,2"])
 def test_index_beyond_the_alphabet_or_64_bits(body):
     with pytest.raises(DomainError):
         parse_sequence(sequence_text(body))
+
+
+@given(size=st.integers(2, 12), first=st.integers(-10 ** 6, 10 ** 6),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_written_index_lines_parse_like_int(size, first, data):
+    # up to 10 symbols the line is single digits; 11 and 12 write two
+    a = Alphabet(tuple(-2.5 + 0.75 * k for k in range(size)))
+    idx = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                             max_size=300))
+    text = format_sequence(SequenceWindow.from_indices(a, first, idx))
+    want = SequenceWindow.from_indices(
+        a, first, int_parse_indices(text.splitlines()[2]))
+    assert parse_sequence(text) == want
+    assert want.to_indices().tolist() == idx
 
 
 def test_trajectory_csv_header_and_shape():

@@ -219,6 +219,26 @@ class TestFunctionSearch:
             find_function_witnesses(flat_trajectory(), [5.0], compact,
                                     sigma=0.5, tolerance=1e-9, epsilon0=0.1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_compact_bounds(self, side, bad):
+        # named before the order check, not as a huge grid or bad order
+        compact = [0.0, 4.0]
+        compact[side] = bad
+        with pytest.raises(DomainError, match="compact bounds must be finite"):
+            find_function_witnesses(flat_trajectory(), [1.0], tuple(compact),
+                                    sigma=0.5, tolerance=1.0, epsilon0=0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_domain_bounds(self, side, bad):
+        domain = [0.0, 40.0]
+        domain[side] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            find_function_witnesses(math.sin, [5.0], (0.0, 4.0), sigma=0.5,
+                                    tolerance=1e-9, epsilon0=0.1,
+                                    sample_dt=0.01, domain=tuple(domain))
+
     @pytest.mark.parametrize("domain", [(40.0, 0.0), (3.0, 3.0)])
     def test_domain_bounds_out_of_order(self, domain):
         with pytest.raises(DomainError, match="domain"):
