@@ -9,6 +9,7 @@ JSON-ready reports, so a verdict can be archived next to its evidence.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -32,21 +33,22 @@ print("periodic control:", find_sequence_witnesses(periodic, 4, 0.0,
                                                    1.0, 3).verdict)
 
 # function level: filter i* at mu = 1 and test the shift 3018, which
-# matches the sequence on a half-width-6 window around the origin
+# matches the sequence on a half-width-6 window around the origin; the
+# samples sit on a lattice that holds every breakpoint, mu / ceil(8 mu /
+# sigma) apart, so the search reads them exactly, without interpolation
 constants = separation_constants(1.0)
 sigma = constants.kappa_ii / 2.0
-dt = sigma / 8.0
+dt = 1.0 / math.ceil(8.0 / sigma)
 trajectory = chi_exact(StepSignal(seq, 1.0),
                        FilterConfig(decay=1.0, step=1.0, sample_dt=dt),
                        -8.0, 3030.0, 0.5)
 verdict = find_function_witnesses(trajectory, [3018.0], (0.0, 4.0), sigma,
                                   tolerance=5e-3,
-                                  epsilon0=constants.lower_bound,
-                                  sample_dt=dt)
+                                  epsilon0=constants.lower_bound)
 report = function_report(verdict,
                          epsilon0_requested=constants.lower_bound,
                          predicted_lower_bound=constants.lower_bound,
                          domain=(trajectory.t_start, trajectory.t_end),
                          parameters={"mu": 1.0, "sigma": sigma, "dt": dt})
-print("\nfunction-level report:")
+print("function-level verdict:", verdict.verdict)
 print(json.dumps(report, indent=2))

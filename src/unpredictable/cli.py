@@ -90,7 +90,7 @@ def _cmd_verify_fn(args) -> int:
     report = verify_filtered(
         seq, mu=args.mu, decay=args.decay, phi0=args.phi0,
         burn_in=args.burn_in, compact=(args.alpha, args.beta),
-        sigma=args.sigma, sample_dt=args.dt, tolerance=args.tolerance,
+        sigma=args.sigma, tolerance=args.tolerance,
         epsilon0=args.epsilon0, shifts=shifts, half_width=args.half_width,
         auto_shifts=args.auto_shifts)
     write_json_report(args.out, report)
@@ -182,8 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None,
                    help="separation interval half-width "
                         "(default min(kappa_i, kappa_ii)/2)")
-    p.add_argument("--dt", type=float, default=None,
-                   help="sample spacing (default sigma/8)")
     p.add_argument("--tolerance", type=float, default=None,
                    help="compact match tolerance (default: the burn-in "
                         "transient bound, plus the matched-window bound "

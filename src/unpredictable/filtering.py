@@ -170,7 +170,7 @@ class Trajectory:
     def sample_dt(self) -> float:
         if len(self) < 2:
             raise DomainError("spacing is undefined for a single sample")
-        return float(self.times[1] - self.times[0])
+        return (self.t_end - self.t_start) / (len(self) - 1)
 
     def at(self, t) -> np.ndarray:
         """Values at the requested times, linearly interpolated.

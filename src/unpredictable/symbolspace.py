@@ -93,7 +93,7 @@ class SequenceWindow:
         """Build a window from alphabet positions instead of raw values."""
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":
-            raise DomainError("symbol indices must be 64-bit integers")
+            raise DomainError("symbol indices must be integers")
         if idx.size and (idx.min() < 0 or idx.max() >= len(alphabet)):
             raise DomainError("symbol index out of range for the alphabet")
         values = np.asarray(alphabet.values)[idx]

@@ -10,22 +10,23 @@ limit properties, so the verdicts speak only about the supplied data:
 
     consistent    the requested number of witnesses was found
     inconsistent  the data itself rules the property out (an exactly
-                  periodic sequence, or a function whose returning shifts
-                  never separate anywhere on the sampled range)
+                  periodic sequence, or a trajectory with a returning
+                  shift that is a period of all its samples)
     inconclusive  the data ran out before either of the above
 
-The function-level search plays the same game with a sampled function of
-time: shifts must reproduce the function on a compact interval within a
-tolerance, and separation must persist on a whole subinterval of half-width
-sigma rather than at a single point.  Every reported witness carries the
-numbers needed to re-check it from the raw data.
+The function-level search plays the same game with a sampled trajectory:
+shifts must reproduce it on a compact interval within a tolerance, and
+separation must persist on a whole subinterval of half-width sigma rather
+than at a single point.  It reads samples by index, never between them.
+Every reported witness carries the numbers needed to re-check it from the
+raw data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -203,22 +204,10 @@ def orbit_return_distances(seq: SequenceWindow, half_width: int,
             for s in range(1, S + 1)]
 
 
-def _as_evaluator(h, domain):
-    if isinstance(h, Trajectory):
-        return h.at, (h.t_start, h.t_end)
-    if domain is None:
-        raise DomainError("a callable needs an explicit domain=(lo, hi)")
-    lo, hi = float(domain[0]), float(domain[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"domain [{lo}, {hi}] must be finite and in order")
-
-    def finite(t: np.ndarray) -> np.ndarray:
-        out = np.asarray(h(t), dtype=np.float64)
-        if not np.all(np.isfinite(out)):
-            raise DomainError("the function returned a non-finite value")
-        return out
-
-    return finite, (lo, hi)
+def _snap(q: float) -> float:
+    """q, or the whole number within _EDGE_TOL of it (relative to q)."""
+    k = round(q)
+    return float(k) if abs(q - k) <= _EDGE_TOL * max(1.0, abs(q)) else q
 
 
 def _sliding_min(x: np.ndarray, win: int) -> np.ndarray:
@@ -233,9 +222,18 @@ def _sliding_min(x: np.ndarray, win: int) -> np.ndarray:
     return x
 
 
-def _search_args(compact, shifts, sigma, tolerance, epsilon0, sample_dt):
-    """Check the function search's arguments before any work; return the
-    compact bounds, sorted shifts, grid spacing and compact grid size."""
+def _is_period(v: np.ndarray, s: int, tolerance: float) -> bool:
+    """Whether |v[j + s] - v[j]| <= tolerance for every pair of samples."""
+    n = v.size - s
+    return all(float(np.max(np.abs(v[lo + s:lo + s + _BLOCK]
+                                   - v[lo:min(lo + _BLOCK, n)]))) <= tolerance
+               for lo in range(0, n, _BLOCK))
+
+
+def _search_args(compact, shifts, sigma, tolerance, epsilon0, dt):
+    """Check the function search's arguments against a sample spacing dt
+    before any work; return the compact bounds, the sorted shifts and each
+    shift as a whole number of samples."""
     alpha, beta = float(compact[0]), float(compact[1])
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise DomainError(f"compact bounds must be finite: [{alpha}, {beta}]")
@@ -244,108 +242,102 @@ def _search_args(compact, shifts, sigma, tolerance, epsilon0, sample_dt):
     shifts = sorted(float(s) for s in shifts)
     if not shifts:
         raise DomainError("need at least one shift candidate")
-    if shifts[0] <= 0:
-        raise DomainError("shift candidates must be positive")
+    if not all(0 < s < math.inf for s in shifts):
+        raise DomainError("shift candidates must be finite and positive")
     _check_positive("sigma", sigma)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise DomainError("tolerance must be finite and nonnegative")
     _check_positive("epsilon0", epsilon0)
-    dt = sigma / 8.0 if sample_dt is None else float(sample_dt)
-    _check_positive("sample_dt", dt)
     if dt > sigma / 8.0 * (1.0 + _EDGE_TOL):
-        raise ResolutionError("sample_dt must be at most sigma / 8")
-    steps = (beta - alpha) / dt + _EDGE_TOL
-    if steps >= MAX_SAMPLES - 1:
-        raise ResourceError(f"the compact grid needs {MAX_SAMPLES}+ points")
-    return alpha, beta, shifts, dt, int(steps) + 1
+        raise ResolutionError(f"sample spacing {dt!r} exceeds sigma / 8")
+    for s in shifts:
+        if not (s / dt > 0.5 and _snap(s / dt).is_integer()):
+            raise DomainError(f"shift {s!r} is not a whole number of "
+                              f"samples of spacing {dt!r}")
+    return alpha, beta, shifts, [round(s / dt) for s in shifts]
 
 
-def find_function_witnesses(h: Trajectory | Callable,
+def find_function_witnesses(h: Trajectory,
                             t_shift_candidates: Sequence[float],
                             compact: tuple[float, float],
                             sigma: float,
                             tolerance: float,
-                            epsilon0: float,
-                            sample_dt: float | None = None,
-                            domain: tuple[float, float] | None = None,
-                            ) -> FunctionVerdict:
-    """Search sampled function data for returning shifts that separate.
+                            epsilon0: float) -> FunctionVerdict:
+    """Search a sampled trajectory for returning shifts that separate.
 
-    A candidate shift T qualifies when sup over the compact [a, b] of
-    |h(t + T) - h(t)| is at most ``tolerance``, estimated on a grid of
-    spacing ``sample_dt``.  For each qualifying shift the search looks for a
-    center u with min over [u - sigma, u + sigma] of |h(t + T) - h(t)| at
-    least ``epsilon0``, taking the best center later than the previous
-    witness's (the first on ties), in blocks of ``_BLOCK`` centers from there
-    on, so memory is bounded by the block size, not by the domain.  ``h``
-    may be a :class:`Trajectory` or a vectorized callable with an explicit
-    ``domain``.
+    Each shift T must be a whole number s of samples.  T qualifies when
+    |h(t + T) - h(t)| is at most ``tolerance`` on the smallest run of
+    samples that covers the compact [a, b].  For each qualifying shift the
+    search takes the center u whose samples covering [u - sigma, u + sigma]
+    have the largest smallest gap, 0 if the gap changes sign there: the
+    first such center later than the previous witness's, scanned in blocks
+    of ``_BLOCK`` samples, so memory is bounded by the block size.  A gap of
+    ``epsilon0`` or more makes a witness.  Both checks are exact on a
+    lattice that holds every breakpoint of a filtered step signal, as
+    :func:`verify_filtered` samples it: between neighbouring samples the
+    gap c + C*exp(-lambda*t) is monotone, so its extremes are samples.
 
     ``separation_achieved`` is the best interval separation seen across
-    qualifying shifts even when it falls short of ``epsilon0``.
+    qualifying shifts even when it falls short of ``epsilon0``.  Without a
+    witness the verdict is ``inconsistent`` only if a qualifying shift is
+    a period of every pair of samples within ``tolerance``.
 
     Raises:
-        ResolutionError: sample_dt exceeds sigma / 8.
-        ResourceError: the compact grid needs ``MAX_SAMPLES`` points or more.
-        CoverageError: the domain cannot hold [a, b + max shift].
-        DomainError: a parameter is out of range, or the callable returns
-            NaN or inf.
+        ResolutionError: the sample spacing exceeds sigma / 8.
+        CoverageError: the trajectory cannot hold [a, b + max shift].
+        DomainError: a parameter is out of range, or a shift is not a
+            whole number of samples.
     """
-    func, (d_lo, d_hi) = _as_evaluator(h, domain)
-    alpha, beta, shifts, dt, n_compact = _search_args(
-        compact, t_shift_candidates, sigma, tolerance, epsilon0, sample_dt)
-    if alpha < d_lo - _EDGE_TOL * dt or beta + shifts[-1] > d_hi + _EDGE_TOL * dt:
+    v, t0, dt = h.values, h.t_start, h.sample_dt
+    alpha, beta, shifts, steps = _search_args(
+        compact, t_shift_candidates, sigma, tolerance, epsilon0, dt)
+    slack = _EDGE_TOL * dt
+    if alpha < t0 - slack or beta + shifts[-1] > h.t_end + slack:
         raise CoverageError(
-            f"domain [{d_lo}, {d_hi}] cannot hold "
+            f"trajectory [{t0}, {h.t_end}] cannot hold "
             f"[{alpha}, {beta + shifts[-1]}]")
-
-    win = int(round(2.0 * sigma / dt)) + 1
-    compact_grid = alpha + dt * np.arange(n_compact)
-    h_compact = func(compact_grid)
+    a0 = math.floor(_snap((alpha - t0) / dt))
+    b0 = math.ceil(_snap((beta - t0) / dt))
+    m = math.ceil(_snap(2.0 * sigma / dt))    # sample gaps a window spans
 
     witnesses: list[FunctionWitness] = []
     best_overall = 0.0
-    any_qualifying = False
-    last_u = -np.inf
-    start = 0    # centres grow with the index; none before start is > last_u
+    periodic = False
+    start = a0    # centres grow with the index; none before start is allowed
 
-    for shift in shifts:
-        usable = int(np.floor((d_hi - shift - alpha) / dt + _EDGE_TOL)) + 1
-        if usable < max(n_compact, win):
+    for shift, s in zip(shifts, steps):
+        last = v.size - 1 - s - m    # the last window that has a partner
+        if last < a0:
             continue
-        compact_err = float(np.max(np.abs(func(compact_grid + shift)
-                                          - h_compact)))
+        compact_err = float(np.max(np.abs(v[a0 + s:b0 + s + 1]
+                                          - v[a0:b0 + 1])))
         if compact_err > tolerance:
             continue
-        any_qualifying = True
-        # first maximum over allowed centres of the sliding minimum of
-        # |h(t + shift) - h(t)| over 2*sigma windows, a block at a time
-        sep, best, u = -np.inf, -1, last_u
-        for lo in range(start, usable - win + 1, _BLOCK):
-            grid = alpha + dt * np.arange(lo, min(lo + _BLOCK + win - 1,
-                                                  usable))
-            mins = _sliding_min(np.abs(func(grid + shift) - func(grid)), win)
-            centers = grid[:mins.size] + sigma
-            idx = np.flatnonzero(centers > last_u)
-            i = idx[int(np.argmax(mins[idx]))] if idx.size else -1
-            if i >= 0 and mins[i] > sep:
-                sep, best, u = float(mins[i]), lo + int(i), float(centers[i])
-        if best < 0:
-            continue
+        # first maximum over allowed windows of the smallest gap on them;
+        # a gap that changes sign between two samples passes through 0
+        sep, best = -1.0, -1
+        for lo in range(start, last + 1, _BLOCK):
+            hi = min(lo + _BLOCK, last + 1)
+            g = v[lo + s:hi + s + m] - v[lo:hi + m]
+            a = np.abs(g)
+            gaps = np.minimum(a[:-1], a[1:])
+            gaps[np.signbit(g[:-1]) != np.signbit(g[1:])] = 0.0
+            mins = _sliding_min(gaps, m)
+            i = int(np.argmax(mins))
+            if mins[i] > sep:
+                sep, best = float(mins[i]), lo + i
         best_overall = max(best_overall, sep)
         if sep >= epsilon0:
             witnesses.append(FunctionWitness(
-                t_shift=shift, u_center=u, sigma=sigma,
-                max_compact_error=compact_err,
+                t_shift=shift, u_center=float(h.times[best]) + sigma,
+                sigma=sigma, max_compact_error=compact_err,
                 min_separation_on_interval=sep))
-            last_u, start = u, best + 1
+            start = best + 1
+        elif not (witnesses or periodic):
+            periodic = _is_period(v, s, tolerance)
 
-    if witnesses:
-        verdict = "consistent"
-    elif any_qualifying:
-        verdict = "inconsistent"
-    else:
-        verdict = "inconclusive"
+    verdict = ("consistent" if witnesses else
+               "inconsistent" if periodic else "inconclusive")
     return FunctionVerdict(tuple(witnesses), best_overall, verdict)
 
 
@@ -384,7 +376,7 @@ def function_report(result: FunctionVerdict, *, epsilon0_requested: float,
 
 def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
                     phi0: float, burn_in: float, compact: tuple[float, float],
-                    sigma: float | None = None, sample_dt: float | None = None,
+                    sigma: float | None = None,
                     tolerance: float | None = None,
                     epsilon0: float | None = None,
                     shifts: Sequence[float] | None = None,
@@ -392,21 +384,26 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     """Filter ``seq`` and return the :func:`function_report` of its search:
     the library form of ``unpredictable verify-fn``, one keyword per flag.
 
-    ``None`` derives sigma = min(kappa_i, kappa_ii)/2, sample_dt = sigma/8,
-    epsilon0 = alphabet epsilon0/24, shifts = zeta*mu of ``auto_shifts``
-    sequence witnesses at ``half_width``, and tolerance = A*e^(-decay*burn_in)
-    plus, for derived shifts, A*e^(-decay*half_width*mu), A = 2 sup|pi|/decay.
-    The filter spans [-burn_in, compact[1] + max shift + 4*sigma].
+    ``None`` derives sigma = min(kappa_i, kappa_ii)/2, epsilon0 = alphabet
+    epsilon0/24, shifts = zeta*mu of ``auto_shifts`` sequence witnesses at
+    ``half_width``, and tolerance = A*e^(-decay*burn_in) plus, for derived
+    shifts, A*e^(-decay*half_width*mu), A = 2 sup|pi|/decay.  The filter is
+    sampled every dt = mu/ceil(8*mu/sigma) on [-dt*ceil(burn_in/dt),
+    compact[1] + max shift + 4*sigma], a lattice that holds every breakpoint.
     """
     eps_alpha = seq.alphabet.epsilon0
     constants = separation_constants(eps_alpha)
     if sigma is None:
         sigma = min(constants.kappa_i, constants.kappa_ii) / 2.0
     _check_positive("sigma", sigma)
-    dt = sample_dt if sample_dt is not None else sigma / 8.0
+    if not math.isfinite(burn_in):
+        raise DomainError("burn_in must be finite")
+    signal = StepSignal(seq, mu)
+    # past 2**62 samples a piece, dt > sigma / 8 and _search_args refuses it
+    dt = mu / math.ceil(min(8.0 * mu / sigma, 2.0 ** 62))
+    config = FilterConfig(decay=decay, step=mu, sample_dt=dt)
     if epsilon0 is None:
         epsilon0 = constants.lower_bound
-    config = FilterConfig(decay=decay, step=mu, sample_dt=dt)
     auto = shifts is None
     if auto:
         coarse = find_sequence_witnesses(seq, half_width, 0.0,
@@ -414,19 +411,22 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
         if not coarse.witnesses:
             raise DomainError("no qualifying integer shifts found to test")
         shifts = [w.zeta * mu for w in coarse.witnesses]
-    signal = StepSignal(seq, mu)
     if tolerance is None:
         amp = 2.0 * signal.sup_abs / decay
         tolerance = amp * math.exp(-decay * burn_in)
         if auto:
             tolerance += amp * math.exp(-decay * half_width * mu)
     # fail before the integration, not after it
-    _, beta, ordered, _, _ = _search_args(compact, shifts, sigma, tolerance,
-                                          epsilon0, dt)
+    _, beta, ordered, _ = _search_args(compact, shifts, sigma, tolerance,
+                                       epsilon0, dt)
+    t_lo = -dt * math.ceil(_snap(burn_in / dt))
     t_hi = beta + ordered[-1] + 4.0 * sigma
-    traj = chi_exact(signal, config, -burn_in, t_hi, phi0)
+    if (t_hi - t_lo) / dt >= MAX_SAMPLES:
+        raise ResourceError(f"sampling [{t_lo!r}, {t_hi!r}] every {dt!r} "
+                            f"needs more than {MAX_SAMPLES} samples")
+    traj = chi_exact(signal, config, t_lo, t_hi, phi0)
     result = find_function_witnesses(traj, shifts, compact, sigma,
-                                     tolerance, epsilon0, sample_dt=dt)
+                                     tolerance, epsilon0)
     return function_report(
         result, epsilon0_requested=epsilon0,
         predicted_lower_bound=constants.lower_bound,

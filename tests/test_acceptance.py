@@ -123,13 +123,12 @@ def test_criterion_6_separation_constants(point_64k):
     ok = ok and abs(c.kappa_ii - (-math.log(11.0 / 12.0) / 2.0)) <= 1e-15
 
     sigma = c.kappa_ii / 2.0
-    dt = sigma / 8.0
+    dt = 1.0 / math.ceil(8.0 / sigma)    # mu = 1 in whole steps, <= sigma/8
     signal = StepSignal(point_64k, 1.0)
     cfg = FilterConfig(decay=1.0, step=1.0, sample_dt=dt)
     tr = chi_exact(signal, cfg, -8.0, 3030.0, 0.5)
     result = find_function_witnesses(tr, [3018.0], (0.0, 4.0), sigma,
-                                     tolerance=5e-3, epsilon0=c.lower_bound,
-                                     sample_dt=dt)
+                                     tolerance=5e-3, epsilon0=c.lower_bound)
     doc = function_report(result, epsilon0_requested=c.lower_bound,
                           predicted_lower_bound=c.lower_bound,
                           domain=(tr.t_start, tr.t_end),

@@ -252,6 +252,29 @@ class TestVerifyCommands:
             pytest.approx(1.0 / 24.0)
         assert data["parameters"]["t_shift_candidates"] == [34.0]
 
+    def test_verify_fn_has_no_dt_option(self, tmp_path, capsys):
+        # the spacing is derived from mu and sigma, never chosen
+        assert run("verify-fn", "--help") == 0
+        assert "--dt" not in capsys.readouterr().out
+        assert run("verify-fn", "--in", "x.seq", "--dt", "0.001",
+                   "--out", str(tmp_path / "r.json")) == 2
+        capsys.readouterr()
+
+    def test_a_period_over_the_compact_only_is_inconclusive(self, tmp_path):
+        # 3018 returns on [0, 4] within 6.3e-4 and never separates by 1/24
+        # before t = 3022.09, but it is no period of the sampled data: the
+        # filtered gaps before t = 0 reach 0.72
+        seq = tmp_path / "p.seq"
+        report = tmp_path / "r.json"
+        run("point", "--first", str(-(1 << 15)), "--length", str(1 << 16),
+            "--out", str(seq))
+        assert run("verify-fn", "--in", str(seq), "--mu", "1",
+                   "--shifts", "3018", "--tolerance", "5e-3",
+                   "--out", str(report)) == 0
+        data = json.loads(report.read_text())
+        assert data["verdict"] == "inconclusive"
+        assert data["witnesses"] == []
+
     def test_verify_fn_deterministic(self, tmp_path):
         seq = tmp_path / "p.seq"
         run("point", "--first", "-64", "--length", "256", "--out", str(seq))
@@ -290,15 +313,16 @@ class TestReports:
           "--epsilon0", "1", "--count", "3"),
          "31458c7ba9e4504e1dd37b4025135176bfbc224bcea69c1cb8d46c106aecc3bc"),
         (("verify-fn", "--in", "{big}", "--mu", "1"),
-         "28d86cc3c1a61cdd7b71d51888dfb65a1cf99c8b0749713cd3b66a94c213976d"),
+         "b9de69e8d69b4e514ef30d5b139e829d46094b7b7e78d07b9cd6ebfce3c935c8"),
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--tolerance", "0.05"),
-         "335c630c6da2bcc61538fa085985b7e27d9650ff17241b63d49103029d37c76d"),
+         "38da761625346ff47b5154d9e4176d9a3d1a26e6086abf63ec78825b39085293"),
         (("metric", "--a", "{big}", "--b", "{moved}", "--half-width", "16"),
          "e2b6e1e0b0de1a22f4ba9528359fc2192c677175e72a4d2613ab9466c500dc8b"),
     ])
     def test_golden_bytes(self, tmp_path, windows, argv, digest):
         # digests of the reports as written while the CLI held the policy
-        # and copied witness fields into the reports by hand
+        # and copied witness fields into the reports by hand; the verify-fn
+        # ones since the search reads its lattice samples by index
         out = tmp_path / "report.json"
         argv = [a.format(**windows) for a in argv]
         assert run(*argv, "--out", str(out)) == 0
@@ -316,14 +340,14 @@ class TestReports:
     @pytest.mark.parametrize("argv, message", [
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--tolerance", "nan"),
          "tolerance must be finite"),
-        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "inf",
-          "--dt", "0.001"), "finite"),
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--burn-in", "nan"),
+         "finite"),
         (("verify-seq", "--in", "{big}", "--half-width", "4",
           "--epsilon0", "inf"), "epsilon0 must be finite"),
         (("verify-fn", "--in", "{small}", "--mu", "1", "--shifts="),
          "comma-separated"),
-        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "inf",
-          "--dt", "0.001"), "sigma must be finite"),
+        (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "-1"),
+         "sigma must be finite"),
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--lambda", "0"),
          "decay must be a positive real"),
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "inf"),

@@ -20,6 +20,21 @@ def test_demo_exits_0(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_demo_05_verdicts(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable,
+                           str(ROOT / "demos" / "05_verification.py")],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = [line for line in proc.stdout.splitlines()
+                if line.endswith(("consistent", "inconclusive"))
+                and not line.startswith(" ")]
+    assert verdicts == ["i* verdict: consistent",
+                        "periodic control: inconsistent",
+                        "function-level verdict: consistent"]
+
+
 def test_readme_quick_start(tmp_path):
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]

@@ -96,8 +96,14 @@ class TestSequenceWindow:
         [-1, 2 ** 63], [True, False]])
     def test_from_indices_rejects_non_integer_indices(self, indices):
         # indices are never truncated, wrapped or overflowed into range
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"^symbol indices must be integers$"):
             SequenceWindow.from_indices(BINARY, 0, indices)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_from_indices_accepts_any_integer_dtype(self, dtype):
+        w = SequenceWindow.from_indices(BINARY, 0, np.array([1, 0], dtype))
+        assert list(w.symbols) == [1.0, 0.0]
 
     def test_to_indices_accepts_negative_zero(self):
         # -0.0 == 0.0, so either sign is a member of an alphabet holding
