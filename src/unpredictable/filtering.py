@@ -12,19 +12,23 @@ known value at time a, for t in the same piece with symbol value v,
 
     chi(t) = chi(a) * exp(-lambda*(t - a)) + (v/lambda) * (1 - exp(-lambda*(t - a))).
 
-:func:`chi_exact` uses it twice.  A scalar chain steps the recurrence from
-breakpoint to breakpoint, giving chi at the start of every piece; it stays
-on ``math.exp`` one piece at a time, because ``np.exp`` differs from it in
-the last bit on a few percent of arguments and a vectorized or prefix-scan
-chain would change the output bytes.  The samples are then evaluated in
-fixed-size vectorized blocks: ``searchsorted`` of the breakpoints into the
-sample times assigns each sample its piece, and one ``np.exp`` applies the
-same closed form from that piece's start.  Nothing is discretized, so the
-only error is floating-point rounding, roughly one unit in the last place
-per piece crossed.  Two trajectories of the same signal started from
-different values therefore contract toward each other exactly like
-exp(-lambda*t), and the output is trapped in the band
-[min(pi)/lambda, max(pi)/lambda] once started inside it.
+The filter uses it twice.  A scalar chain steps the recurrence from
+breakpoint to breakpoint and keeps chi at the start of every piece; it
+stays on ``math.exp`` one piece at a time, because ``np.exp`` differs from
+it in the last bit on a few percent of arguments and a vectorized or
+prefix-scan chain would change the output bytes.  Samples are then
+evaluated on demand, any run of them in one vectorized block:
+``searchsorted`` of the breakpoints into the sample times assigns each
+sample its piece, and one ``np.exp`` applies the same closed form from
+that piece's start.  :func:`chi_exact` evaluates every sample of a span;
+the function-level witness search reads a span without building it, and
+skips runs of samples by their chain values, since chi is monotone on
+every piece and so lies between its values at the piece's two ends.
+Nothing is discretized, so the only error is floating-point rounding,
+roughly one unit in the last place per piece crossed.  Two trajectories of
+the same signal started from different values therefore contract toward
+each other exactly like exp(-lambda*t), and the output is trapped in the
+band [min(pi)/lambda, max(pi)/lambda] once started inside it.
 """
 
 from __future__ import annotations
@@ -47,8 +51,12 @@ _UNIFORM_TOL = 1e-12
 #: Largest number of samples chi_exact will allocate.
 MAX_SAMPLES = 1 << 25
 
-#: Samples chi_exact evaluates per vectorized block; bounds its temporaries.
+#: Samples per block of the spacing check and of the witness scans.
 _BLOCK = 1 << 16
+
+#: Samples chi_exact evaluates per block and pieces ``_chain`` steps per
+#: list: the bounds on their temporaries and lists of floats.
+_RUN, _PIECES = 1 << 14, 1 << 12
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,12 @@ class Trajectory:
             raise DomainError("spacing is undefined for a single sample")
         return (self.t_end - self.t_start) / (len(self) - 1)
 
+    def bounds(self, unit: int) -> tuple[np.ndarray, np.ndarray]:
+        """The smallest and largest value of each run of ``unit`` samples."""
+        starts = np.arange(0, len(self), unit)
+        return (np.minimum.reduceat(self.values, starts),
+                np.maximum.reduceat(self.values, starts))
+
     def at(self, t) -> np.ndarray:
         """Values at the requested times, linearly interpolated.
 
@@ -222,21 +236,121 @@ def _check_pair(signal: StepSignal, config: FilterConfig) -> None:
 
 
 def _chain(signal: StepSignal, lam: float, k: int, t_ref: float,
-           chi: float, k_end: int) -> tuple[list[float], list[float]]:
-    """Start times and values of pieces k..k_end, stepped one breakpoint at
-    a time from the value chi at time t_ref in piece k."""
-    if k_end == k:
-        return [t_ref], [chi]
-    breaks = (signal.origin + np.arange(k + 1, k_end + 1, dtype=np.int64)
-              * signal.step).tolist()
-    refs = [t_ref] + breaks
-    chis = [chi]
-    for b, v in zip(breaks, signal.sequence.segment(k, k_end - 1).tolist()):
-        e = math.exp(-lam * (b - t_ref))
-        chi = chi * e + (v / lam) * (1.0 - e)
-        t_ref = b
-        chis.append(chi)
-    return refs, chis
+           chi: float, k_end: int) -> np.ndarray:
+    """chi at the start of pieces k..k_end, stepped one breakpoint at a time
+    from the value chi at time t_ref in piece k, ``_PIECES`` at a time."""
+    chis = np.full(k_end - k + 1, chi)
+    for lo in range(k, k_end, _PIECES):
+        hi, out = min(lo + _PIECES, k_end), []
+        breaks = signal.origin + np.arange(lo + 1, hi + 1) * signal.step
+        for b, v in zip(breaks.tolist(),
+                        signal.sequence.segment(lo, hi - 1).tolist()):
+            e = math.exp(-lam * (b - t_ref))
+            chi, t_ref = chi * e + (v / lam) * (1.0 - e), b
+            out.append(chi)
+        chis[lo + 1 - k:hi + 1 - k] = out
+    return chis
+
+
+class _OnDemand:
+    """Read-only indexing whose entries are computed when asked for."""
+
+    def __init__(self, get) -> None:
+        self.get = get
+
+    def __getitem__(self, key):
+        return self.get(key)
+
+
+class _Lattice:
+    """chi at t_start + dt*j, j = 0..n, read like a Trajectory but evaluated
+    on demand from chi at the start of every piece, bitwise as
+    :func:`chi_exact` evaluates it: a sample's value depends only on its
+    piece's start, its symbol and its time."""
+
+    sample_dt = Trajectory.sample_dt
+
+    def __init__(self, signal: StepSignal, config: FilterConfig,
+                 t_start: float, t_end: float, chi_start: float) -> None:
+        _check_pair(signal, config)
+        if not (math.isfinite(t_start) and math.isfinite(t_end)):
+            raise DomainError("time bounds must be finite")
+        if t_end <= t_start:
+            raise DomainError("t_end must exceed t_start")
+        lam, mu, dt = config.decay, signal.step, config.sample_dt
+        steps = (t_end - t_start) / dt + _EDGE_TOL
+        if steps >= MAX_SAMPLES:
+            raise ResourceError(f"sampling [{t_start!r}, {t_end!r}] every "
+                                f"{dt!r} needs more than {MAX_SAMPLES} samples")
+        n = int(math.floor(steps))
+        first_p = signal.sequence.first_index
+        last_p = signal.sequence.last_index
+        k = _piece_index(signal.origin, mu, t_start)
+        inside = first_p <= k <= last_p
+        # the start piece and the last sample decide coverage; a sample at
+        # the end of coverage needs no piece value
+        k_out, t_out = ((last_p + 1, signal.origin + (last_p + 1) * mu)
+                        if inside else (k, t_start))
+        if t_start + dt * n > t_out + _EDGE_TOL * mu:
+            raise CoverageError(
+                f"signal does not cover piece {k_out} needed near t={t_out!r}")
+        self.signal, self.lam, self.dt, self.k0 = signal, lam, dt, k
+        self.t_start, self.t_end, self.t_out = t_start, t_start + dt * n, t_out
+        self._n = n + 1
+        self.times = _OnDemand(lambda j: t_start + dt * j)
+        k_end = (min(_piece_index(signal.origin, mu, self.t_end), last_p) + 1
+                 if inside else k)
+        self.chis = _chain(signal, lam, k, t_start, float(chi_start), k_end)
+        # samples and chain values lie within 3 roundings of M of their exact
+        # mix of the piece's start and v/lambda; np.exp and math.exp may
+        # misorder ordered arguments by a few ulp
+        big = max(float(np.max(np.abs(self.chis))), signal.sup_abs / lam)
+        self.slack = 32.0 * np.finfo(float).eps * big + 8.0 * 2.0 ** -1074
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def values(self) -> _OnDemand:
+        return _OnDemand(self._run)    # held by self, it would make a cycle
+
+    def _run(self, run: slice) -> np.ndarray:
+        """Samples of a slice: a sample on a breakpoint opens the later
+        piece, and one past the end of coverage holds the value there."""
+        t = self.t_start + self.dt * np.arange(*run.indices(len(self)))
+        out = np.full(t.size, self.chis[-1])
+        c = int(np.searchsorted(t, self.t_out))
+        if c:
+            origin, mu, lam, t = (self.signal.origin, self.signal.step,
+                                  self.lam, t[:c])
+            k = _piece_index(origin, mu, float(t[0]))
+            k_hi = _piece_index(origin, mu, float(t[-1]))
+            breaks = origin + np.arange(k + 1, k_hi + 1) * mu
+            refs = np.concatenate((
+                [self.t_start if k == self.k0 else origin + k * mu], breaks))
+            counts = np.diff(np.searchsorted(t, breaks), prepend=0, append=c)
+            decay = np.exp(-lam * (t - np.repeat(refs, counts)))
+            chis = self.chis[k - self.k0:k_hi + 1 - self.k0]
+            scaled = self.signal.sequence.segment(k, k_hi) / lam
+            out[:c] = (np.repeat(chis, counts) * decay
+                       + np.repeat(scaled, counts) * (1.0 - decay))
+        return out
+
+    def bounds(self, unit: int) -> tuple[np.ndarray, np.ndarray]:
+        """A range holding each run of ``unit`` samples.  chi is monotone on
+        a piece, so its chain values at the piece's two ends, widened by
+        ``slack``, bound it there; a run ends in the piece the next one
+        starts in, and the hold past coverage is the last chain value."""
+        c = self.chis
+        lo_p = np.minimum(c, np.append(c[1:], c[-1]))
+        hi_p = np.maximum(c, np.append(c[1:], c[-1]))
+        breaks = self.signal.origin + np.arange(
+            self.k0 + 1, self.k0 + c.size) * self.signal.step
+        a = np.searchsorted(breaks, self.t_start + self.dt * np.arange(
+            0, len(self), unit), side="right")
+        b = np.append(a[1:], c.size - 1)
+        return (np.minimum(np.minimum.reduceat(lo_p, a), lo_p[b]) - self.slack,
+                np.maximum(np.maximum.reduceat(hi_p, a), hi_p[b]) + self.slack)
 
 
 def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
@@ -244,14 +358,11 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
     """Integrate x' = -lambda*x + pi(t) over [t_start, t_end] from chi_start.
 
     Samples are taken every ``config.sample_dt`` starting at ``t_start``; the
-    last sample is the largest grid point not beyond ``t_end``.  The samples
-    are evaluated in fixed-size blocks.  For each block a scalar
-    ``math.exp`` chain carries chi across the breakpoints it spans, so the
-    per-piece recurrence rounds exactly as a piece-by-piece walk would; then
-    ``searchsorted`` assigns every sample its piece (a sample on a
-    breakpoint belongs to the later piece) and one ``np.exp`` evaluates the
-    closed form from that piece's start.  No discretization error is
-    introduced at any spacing.
+    last sample is the largest grid point not beyond ``t_end``.  A scalar
+    ``math.exp`` chain carries chi across every breakpoint, so the
+    per-piece recurrence rounds exactly as a piece-by-piece walk would; the
+    samples are then evaluated in fixed-size blocks from their pieces'
+    starts.  No discretization error is introduced at any spacing.
 
     Raises:
         DomainError: t_end <= t_start, or config and signal disagree on step.
@@ -261,52 +372,11 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
             decided from the start piece and the last sample time, before
             any sample is allocated.
     """
-    _check_pair(signal, config)
-    if not (math.isfinite(t_start) and math.isfinite(t_end)):
-        raise DomainError("time bounds must be finite")
-    if t_end <= t_start:
-        raise DomainError("t_end must exceed t_start")
-    lam = config.decay
-    mu = signal.step
-    dt = config.sample_dt
-    steps = (t_end - t_start) / dt + _EDGE_TOL
-    if steps >= MAX_SAMPLES:
-        raise ResourceError(f"sampling [{t_start!r}, {t_end!r}] every {dt!r} "
-                            f"needs more than {MAX_SAMPLES} samples")
-    n = int(math.floor(steps))
-    first_p = signal.sequence.first_index
-    last_p = signal.sequence.last_index
-    k = _piece_index(signal.origin, mu, t_start)
-    inside = first_p <= k <= last_p
-    # the start piece and the last sample decide coverage; a sample at the
-    # end of coverage needs no piece value
-    k_out, t_out = ((last_p + 1, signal.origin + (last_p + 1) * mu) if inside
-                    else (k, t_start))
-    if t_start + dt * n > t_out + _EDGE_TOL * mu:
-        raise CoverageError(
-            f"signal does not cover piece {k_out} needed near t={t_out!r}")
-    times = t_start + dt * np.arange(n + 1)
-    values = np.empty(n + 1)
-    t_ref = t_start
-    chi = float(chi_start)
-    covered = int(np.searchsorted(times, t_out, side="left")) if inside else 0
-    for lo in range(0, covered, _BLOCK):
-        t = times[lo:min(lo + _BLOCK, covered)]
-        k_hi = _piece_index(signal.origin, mu, float(t[-1]))
-        refs, chis = _chain(signal, lam, k, t_ref, chi, k_hi)
-        scaled = signal.sequence.segment(k, k_hi) / lam
-        k, t_ref, chi = k_hi, refs[-1], chis[-1]
-        # samples per piece; a sample on a breakpoint opens the later piece
-        ends = np.searchsorted(t, refs[1:], side="left")
-        counts = np.diff(ends, prepend=0, append=t.size)
-        decay = np.exp(-lam * (t - np.repeat(refs, counts)))
-        values[lo:lo + t.size] = (np.repeat(chis, counts) * decay
-                                  + np.repeat(scaled, counts) * (1.0 - decay))
-    if covered <= n:
-        if inside:
-            # carry chi to the end of the last covered piece
-            chi = _chain(signal, lam, k, t_ref, chi, last_p + 1)[1][-1]
-        values[covered:] = chi
+    lattice = _Lattice(signal, config, t_start, t_end, chi_start)
+    times = t_start + config.sample_dt * np.arange(len(lattice))
+    values = np.empty(times.size)
+    for lo in range(0, times.size, _RUN):
+        values[lo:lo + _RUN] = lattice.values[lo:lo + _RUN]
     return Trajectory._owning(times, values)
 
 

@@ -17,7 +17,8 @@ limit properties, so the verdicts speak only about the supplied data:
 The function-level search plays the same game with a sampled trajectory:
 shifts must reproduce it on a compact interval within a tolerance, and
 separation must persist on a whole subinterval of half-width sigma rather
-than at a single point.  It reads samples by index, never between them.
+than at a single point.  It reads samples by index, never between them,
+and skips the centres whose bounds rule them out.
 Every reported witness carries the numbers needed to re-check it from the
 raw data.
 """
@@ -30,13 +31,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, ResolutionError, ResourceError
-from .filtering import (_BLOCK, _EDGE_TOL, MAX_SAMPLES, FilterConfig,
-                        StepSignal, Trajectory, chi_exact,
-                        separation_constants)
+from .errors import CoverageError, DomainError, ResolutionError
+from .filtering import (_BLOCK, _EDGE_TOL, FilterConfig, StepSignal,
+                        Trajectory, _Lattice, separation_constants)
 from .symbolspace import SequenceWindow, metric_distance, shift
 
 _VERDICTS = ("consistent", "inconsistent", "inconclusive")
+
+#: Samples per centre unit of the function scan, the grain of its skip rule.
+_UNIT = 1 << 12
 
 
 class _Verdict:
@@ -222,9 +225,9 @@ def _sliding_min(x: np.ndarray, win: int) -> np.ndarray:
     return x
 
 
-def _is_period(v: np.ndarray, s: int, tolerance: float) -> bool:
+def _is_period(h, s: int, tolerance: float) -> bool:
     """Whether |v[j + s] - v[j]| <= tolerance for every pair of samples."""
-    n = v.size - s
+    v, n = h.values, len(h) - s
     return all(float(np.max(np.abs(v[lo + s:lo + s + _BLOCK]
                                    - v[lo:min(lo + _BLOCK, n)]))) <= tolerance
                for lo in range(0, n, _BLOCK))
@@ -270,8 +273,10 @@ def find_function_witnesses(h: Trajectory,
     samples that covers the compact [a, b].  For each qualifying shift the
     search takes the center u whose samples covering [u - sigma, u + sigma]
     have the largest smallest gap, 0 if the gap changes sign there: the
-    first such center later than the previous witness's, scanned in blocks
-    of ``_BLOCK`` samples, so memory is bounded by the block size.  A gap of
+    first such center later than the previous witness's.  Centres are
+    visited in units of ``_UNIT`` samples, the unit with the largest bound
+    on |gap| first, and the scan stops when no unit left can reach the best
+    window found; so memory is bounded by the unit size.  A gap of
     ``epsilon0`` or more makes a witness.  Both checks are exact on a
     lattice that holds every breakpoint of a filtered step signal, as
     :func:`verify_filtered` samples it: between neighbouring samples the
@@ -288,6 +293,13 @@ def find_function_witnesses(h: Trajectory,
         DomainError: a parameter is out of range, or a shift is not a
             whole number of samples.
     """
+    return _scan(h, t_shift_candidates, compact, sigma, tolerance, epsilon0)
+
+
+def _scan(h, t_shift_candidates, compact, sigma, tolerance,
+          epsilon0) -> FunctionVerdict:
+    """:func:`find_function_witnesses` over a Trajectory or a
+    ``filtering._Lattice``, which reads the same but evaluates on demand."""
     v, t0, dt = h.values, h.t_start, h.sample_dt
     alpha, beta, shifts, steps = _search_args(
         compact, t_shift_candidates, sigma, tolerance, epsilon0, dt)
@@ -299,6 +311,7 @@ def find_function_witnesses(h: Trajectory,
     a0 = math.floor(_snap((alpha - t0) / dt))
     b0 = math.ceil(_snap((beta - t0) / dt))
     m = math.ceil(_snap(2.0 * sigma / dt))    # sample gaps a window spans
+    lows, highs = h.bounds(_UNIT)
 
     witnesses: list[FunctionWitness] = []
     best_overall = 0.0
@@ -306,26 +319,37 @@ def find_function_witnesses(h: Trajectory,
     start = a0    # centres grow with the index; none before start is allowed
 
     for shift, s in zip(shifts, steps):
-        last = v.size - 1 - s - m    # the last window that has a partner
+        last = len(h) - 1 - s - m    # the last window that has a partner
         if last < a0:
             continue
         compact_err = float(np.max(np.abs(v[a0 + s:b0 + s + 1]
                                           - v[a0:b0 + 1])))
         if compact_err > tolerance:
             continue
+        # |gap| at the first sample of a window bounds its smallest gap; a
+        # unit's partners lie in the unit s // _UNIT on and the one after it
+        u = np.arange(start // _UNIT, last // _UNIT + 1 if start <= last
+                      else start // _UNIT)
+        p = u + s // _UNIT
+        q = np.minimum(p + 1, highs.size - 1)
+        top = np.maximum(np.maximum(highs[p], highs[q]) - lows[u],
+                         highs[u] - np.minimum(lows[p], lows[q]))
         # first maximum over allowed windows of the smallest gap on them;
         # a gap that changes sign between two samples passes through 0
         sep, best = -1.0, -1
-        for lo in range(start, last + 1, _BLOCK):
-            hi = min(lo + _BLOCK, last + 1)
+        for i in np.argsort(-top, kind="stable").tolist():
+            if top[i] < sep:
+                break
+            lo = max(start, int(u[i]) * _UNIT)
+            hi = min(last + 1, int(u[i] + 1) * _UNIT)
             g = v[lo + s:hi + s + m] - v[lo:hi + m]
             a = np.abs(g)
             gaps = np.minimum(a[:-1], a[1:])
             gaps[np.signbit(g[:-1]) != np.signbit(g[1:])] = 0.0
             mins = _sliding_min(gaps, m)
-            i = int(np.argmax(mins))
-            if mins[i] > sep:
-                sep, best = float(mins[i]), lo + i
+            j = int(np.argmax(mins))
+            if mins[j] > sep or (mins[j] == sep and lo + j < best):
+                sep, best = float(mins[j]), lo + j
         best_overall = max(best_overall, sep)
         if sep >= epsilon0:
             witnesses.append(FunctionWitness(
@@ -334,7 +358,7 @@ def find_function_witnesses(h: Trajectory,
                 min_separation_on_interval=sep))
             start = best + 1
         elif not (witnesses or periodic):
-            periodic = _is_period(v, s, tolerance)
+            periodic = _is_period(h, s, tolerance)
 
     verdict = ("consistent" if witnesses else
                "inconsistent" if periodic else "inconclusive")
@@ -390,6 +414,9 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     shifts, A*e^(-decay*half_width*mu), A = 2 sup|pi|/decay.  The filter is
     sampled every dt = mu/ceil(8*mu/sigma) on [-dt*ceil(burn_in/dt),
     compact[1] + max shift + 4*sigma], a lattice that holds every breakpoint.
+    The span is never built: the search evaluates the samples it reads on
+    demand from the filter's value at every breakpoint, bitwise as
+    :func:`chi_exact` would, and skips units of centres by those values.
     """
     eps_alpha = seq.alphabet.epsilon0
     constants = separation_constants(eps_alpha)
@@ -420,17 +447,13 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     _, beta, ordered, _ = _search_args(compact, shifts, sigma, tolerance,
                                        epsilon0, dt)
     t_lo = -dt * math.ceil(_snap(burn_in / dt))
-    t_hi = beta + ordered[-1] + 4.0 * sigma
-    if (t_hi - t_lo) / dt >= MAX_SAMPLES:
-        raise ResourceError(f"sampling [{t_lo!r}, {t_hi!r}] every {dt!r} "
-                            f"needs more than {MAX_SAMPLES} samples")
-    traj = chi_exact(signal, config, t_lo, t_hi, phi0)
-    result = find_function_witnesses(traj, shifts, compact, sigma,
-                                     tolerance, epsilon0)
+    lattice = _Lattice(signal, config, t_lo,
+                       beta + ordered[-1] + 4.0 * sigma, phi0)
+    result = _scan(lattice, shifts, compact, sigma, tolerance, epsilon0)
     return function_report(
         result, epsilon0_requested=epsilon0,
         predicted_lower_bound=constants.lower_bound,
-        domain=(traj.t_start, traj.t_end),
+        domain=(lattice.t_start, lattice.t_end),
         parameters={"mu": mu, "decay": decay, "phi0": phi0,
                     "burn_in": burn_in, "compact": list(compact),
                     "sigma": sigma, "sample_dt": dt, "tolerance": tolerance,

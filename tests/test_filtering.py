@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unpredictable import (BINARY, MAX_SAMPLES, Alphabet, BernoulliSpec,
@@ -19,7 +19,8 @@ from unpredictable import (BINARY, MAX_SAMPLES, Alphabet, BernoulliSpec,
                            ResourceError, SequenceWindow, StepSignal,
                            Trajectory, chi_exact, chi_quadrature, filtering,
                            realize, separation_constants)
-from unpredictable.filtering import _EDGE_TOL, _check_pair, _piece_index
+from unpredictable.filtering import (_EDGE_TOL, _Lattice, _check_pair,
+                                    _piece_index)
 
 
 def binary_window(first, bits):
@@ -459,13 +460,16 @@ def test_recurrence_matches_quadrature_within_its_bound(case):
         # both paths round at most 8 times per piece crossed (plus the
         # sample itself), each by eps of a term within sup|pi|/lambda, and
         # read chi, whose slope is at most 2 sup|pi|, at times rounded by
-        # eps |t|; within its edge slack past the end of coverage chi_exact
-        # holds the last value, which the quadrature lets decay
+        # eps |t|; a subnormal result rounds by an absolute 2**-1074 instead,
+        # at each of those 16 steps per piece, and the quadrature divides
+        # its sum by lambda; within its edge slack past the end of coverage
+        # chi_exact holds the last value, which the quadrature lets decay
         pieces = _piece_index(signal.origin, signal.step, t) - k_start + 2
         rounding = eps * sup * (16 * pieces / cfg.decay + 2 * abs(t))
+        subnormal = 2.0 ** -1074 * 16 * pieces * max(1.0, 1.0 / cfg.decay)
         edge = sup * max(0.0, t - signal.t_max)
         assert abs(float(tr.values[j]) - q.value) \
-            <= q.truncation_bound + rounding + edge
+            <= q.truncation_bound + rounding + subnormal + edge
 
 
 # -- the per-piece loop as a differential reference --------------------------
@@ -562,7 +566,7 @@ def filter_cases(draw):
 @given(case=filter_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]))
 @settings(max_examples=300, deadline=None)
 def test_chi_exact_is_bitwise_the_piece_loop(case, block):
-    with mock.patch.object(filtering, "_BLOCK", block):
+    with mock.patch.multiple(filtering, _RUN=block, _PIECES=block):
         assert_same_outcome(*case)
 
 
@@ -575,7 +579,8 @@ def test_chi_exact_bitwise_over_many_blocks():
         s = StepSignal(w, mu)
         cfg = FilterConfig(decay=lam, step=mu, sample_dt=dt)
         tr = assert_same_outcome(s, cfg, t_start, s.t_max, 0.5)
-        assert len(tr) > 2 * filtering._BLOCK
+        assert len(tr) > 2 * filtering._RUN
+        assert s.sequence.last_index > 2 * filtering._PIECES
 
 
 @pytest.mark.parametrize("t_start, t_end", [
@@ -644,3 +649,88 @@ def test_chi_exact_sample_limit_raises_before_allocating():
 def test_trajectory_rejects_non_finite_samples(times, values):
     with pytest.raises(DomainError):
         Trajectory(np.array(times), np.array(values))
+
+
+# -- the lattice read on demand ----------------------------------------------
+
+@given(case=filter_cases(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_lattice_slices_are_bitwise_chi_exact(case, data):
+    signal, cfg, t_start, t_end, chi_start = case
+    try:
+        want = chi_exact(signal, cfg, t_start, t_end, chi_start).values
+    except CoverageError as exc:
+        with pytest.raises(CoverageError, match=str(exc)):
+            _Lattice(signal, cfg, t_start, t_end, chi_start)
+        return
+    lattice = _Lattice(signal, cfg, t_start, t_end, chi_start)
+    assert len(lattice) == want.size
+    for _ in range(4):
+        lo = data.draw(st.integers(0, want.size - 1))
+        hi = data.draw(st.integers(lo + 1, want.size))
+        assert np.array_equal(lattice.values[lo:hi], want[lo:hi])
+
+
+@st.composite
+def magnitude_cases(draw):
+    """A signal over 2-5 symbols, negative ones too, at unit, subnormal or
+    large magnitude, a start between breakpoints, any start value, and an
+    end at or inside the end of coverage."""
+    scale = draw(st.sampled_from([1.0, 1e-310, 2.0 ** -1060, 1e-300, 1e280]))
+    base = draw(st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=5,
+                         unique=True))
+    values = tuple(v * scale for v in base)
+    assume(len(set(values)) == len(values))
+    symbols = draw(st.lists(st.sampled_from(values), min_size=1,
+                            max_size=80))
+    mu = draw(st.floats(0.01, 3.0))
+    signal = StepSignal(SequenceWindow(Alphabet(values), draw(
+        st.integers(-100, 100)), np.array(symbols)), mu,
+        draw(st.floats(-50.0, 50.0)))
+    lam = draw(st.floats(0.05, 20.0))
+    cfg = FilterConfig(decay=lam, step=mu, sample_dt=mu / draw(
+        st.sampled_from([1.0, 2.0, 3.0, 7.0, 16.5])))
+    piece = draw(st.integers(signal.sequence.first_index,
+                             signal.sequence.last_index))
+    t_start = signal.origin + (piece + draw(st.floats(0.0, 0.999))) * mu
+    t_end = t_start + (signal.t_max - t_start) * draw(
+        st.sampled_from([1.0]) | st.floats(0.01, 1.0))
+    chi_start = signal.sup_abs / lam * draw(st.floats(-2.0, 2.0))
+    return signal, cfg, t_start, t_end, chi_start
+
+
+def assert_within_chain_bounds(signal, cfg, t_start, t_end, chi_start):
+    """Every sample lies between the chain values at its piece's two ends,
+    widened by the lattice's slack, and inside the bound of every run."""
+    lattice = _Lattice(signal, cfg, t_start, t_end, chi_start)
+    tr = chi_exact(signal, cfg, t_start, t_end, chi_start)
+    chis, last = lattice.chis, lattice.chis.size - 1
+    for t, v in zip(tr.times.tolist(), tr.values.tolist()):
+        p = min(_piece_index(signal.origin, signal.step, t) - lattice.k0, last)
+        ends = chis[p], chis[min(p + 1, last)]
+        assert min(ends) - lattice.slack <= v <= max(ends) + lattice.slack
+    for unit in (1, 3, 64):
+        lows, highs = lattice.bounds(unit)
+        runs = np.arange(tr.values.size) // unit
+        assert np.all(lows[runs] <= tr.values)
+        assert np.all(tr.values <= highs[runs])
+    return tr
+
+
+@given(case=magnitude_cases())
+@settings(max_examples=200, deadline=None)
+def test_samples_lie_within_their_pieces_chain_range(case):
+    assert_within_chain_bounds(*case)
+
+
+def test_chain_range_holds_past_the_end_of_coverage():
+    # the last sample lies within _EDGE_TOL * mu past the end of coverage
+    # at t = 10, where chi_exact holds the value at t = 10
+    s = StepSignal(SequenceWindow(Alphabet((-1.0, 0.0, 2.0)), 0,
+                                  np.array([2.0, -1.0, 0.0, 2.0, -1.0] * 2)),
+                   1.0)
+    cfg = FilterConfig(decay=0.7, step=1.0, sample_dt=0.25)
+    tr = assert_within_chain_bounds(s, cfg, 1e-10, 10.0 + 2e-10, 0.3)
+    assert tr.times[-2] < s.t_max < tr.t_end
+    held = _Lattice(s, cfg, 1e-10, 10.0 + 2e-10, 0.3).chis[-1]
+    assert tr.values[-1] == held != tr.values[-2]

@@ -1,23 +1,29 @@
 """Witness searches on sequences and on filtered trajectories."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unpredictable import (BINARY, Alphabet, BernoulliSpec, CoverageError,
                            DomainError, FilterConfig, ResolutionError,
                            ResourceError, SequenceWindow, StepSignal,
-                           Trajectory, chi_exact,
+                           Trajectory, chi_exact, filtering,
                            find_function_witnesses, find_sequence_witnesses,
                            metric_distance, orbit_return_distances,
                            point_window, qualifying_shifts, realize,
                            separation_constants, shift, verify,
                            verify_filtered)
+from unpredictable.filtering import _Lattice
 from unpredictable.verify import (FunctionVerdict, FunctionWitness,
                                   SequenceVerdict, SequenceWitness,
                                   _base_checks, _sliding_min)
@@ -414,7 +420,7 @@ class TestVerifyFiltered:
         {"mu": 1e300, "sigma": 1e-10},    # 8e310 samples a piece
     ])
     def test_parameters_are_checked_before_filtering(self, params):
-        with mock.patch.object(verify, "chi_exact",
+        with mock.patch.object(filtering, "_chain",
                                side_effect=AssertionError("integrated")):
             with pytest.raises((DomainError, ResolutionError)):
                 verify_filtered(point_window(-64, 256), shifts=[34.0],
@@ -428,7 +434,7 @@ class TestVerifyFiltered:
         {"shifts": [34.001]},                   # 12512.368 samples of 1/368
     ])
     def test_compact_and_shifts_are_checked_before_filtering(self, params):
-        with mock.patch.object(verify, "chi_exact",
+        with mock.patch.object(filtering, "_chain",
                                side_effect=AssertionError("integrated")):
             with pytest.raises((DomainError, ResourceError)):
                 verify_filtered(point_window(-64, 256),
@@ -633,9 +639,24 @@ def search_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_blocked_search_equals_the_dense_scan(case, block):
     want = _outcome(_find_function_witnesses_reference, *case)
-    with mock.patch.object(verify, "_BLOCK", block):
+    with mock.patch.multiple(verify, _UNIT=block, _BLOCK=block):
         got = _outcome(find_function_witnesses, *case)
     assert got == want
+
+
+def test_a_unit_bounds_the_partners_in_the_unit_after_its_own():
+    # with units of 8 samples and a shift of 20, centres 80..87 pair with
+    # samples 100..107: the flat unit 96..103 and the unit 104..111, where
+    # the step to 1 gives the best window, at 84; centres 0..3 give 0.5
+    values = np.zeros(160)
+    values[20:60] = 0.5
+    values[104:] = 1.0
+    tr = Trajectory(np.arange(160.0), values)
+    args = (tr, [20.0], (0.0, 1.0), 8.0, 1e9, 0.1)
+    want = _find_function_witnesses_reference(*args)
+    assert want.witnesses[0].u_center == 84.0 + 8.0
+    with mock.patch.object(verify, "_UNIT", 8):
+        assert find_function_witnesses(*args) == want
 
 
 def test_blocked_search_equals_the_dense_scan_on_the_point(point_64k):
@@ -651,9 +672,142 @@ def test_blocked_search_equals_the_dense_scan_on_the_point(point_64k):
             constants.kappa_ii / 2.0, 0.01, constants.lower_bound)
     want = _find_function_witnesses_reference(*args)
     assert [w.t_shift for w in want.witnesses] == [2206.0, 2610.0]
-    for block in (97, 1 << 16):
-        with mock.patch.object(verify, "_BLOCK", block):
+    for unit in (97, verify._UNIT, 1 << 16):
+        with mock.patch.object(verify, "_UNIT", unit):
             assert find_function_witnesses(*args) == want
+
+
+@st.composite
+def lattice_cases(draw):
+    """A filtered step signal over 2-5 symbols on a dyadic lattice, read on
+    demand and as chi_exact's trajectory, and a search over it whose
+    compact, window and shifts are drawn in units of the spacing."""
+    values = draw(st.lists(st.floats(-4.0, 4.0, width=16), min_size=2,
+                           max_size=5, unique=True))
+    first = draw(st.integers(-40, 0))
+    symbols = draw(st.lists(st.sampled_from(values), min_size=24,
+                            max_size=160))
+    mu = 2.0 ** -draw(st.integers(0, 2))
+    dt = mu * 2.0 ** -draw(st.integers(0, 4))
+    signal = StepSignal(SequenceWindow(Alphabet(tuple(values)), first,
+                                       np.array(symbols)), mu)
+    cfg = FilterConfig(decay=draw(st.floats(0.05, 4.0)), step=mu,
+                       sample_dt=dt)
+    t_start = first * mu + dt * draw(st.integers(0, 8))
+    n = round((signal.t_max - t_start) / dt) + 1 - draw(st.integers(0, 8))
+    assume(n > 40)
+    t_end = t_start + dt * (n - 1)
+    lattice = _Lattice(signal, cfg, t_start, t_end, draw(st.floats(-2, 2)))
+    m = draw(st.integers(16, 40))
+    sigma = m * dt / 2.0 - draw(st.sampled_from([0.0, dt / 4]))
+    a0 = draw(st.integers(0, 20))
+    alpha = t_start + dt * (a0 + draw(st.sampled_from([0.0, 0.5])))
+    beta = alpha + dt * draw(st.sampled_from([0.5, 1.0, 3.0, 12.0]))
+    room = max(n - a0 - 13 - m, 1)
+    shifts = draw(st.lists(st.integers(1, room) | st.integers(1, n),
+                           min_size=1, max_size=5, unique=True))
+    search = ([s * dt for s in shifts], (alpha, beta), sigma,
+              draw(st.sampled_from([0.0, 0.05, 0.5, 1e9, 1e9])),
+              draw(st.sampled_from([1e-6, 0.05, 0.3, 1.0])))
+    return lattice, chi_exact(signal, cfg, t_start, t_end,
+                              lattice.chis[0]), search
+
+
+@given(case=lattice_cases(), unit=st.sampled_from([1, 3, 64, 1 << 12]))
+@settings(max_examples=200, deadline=None)
+def test_lattice_search_equals_the_dense_scan(case, unit):
+    lattice, trajectory, search = case
+    want = _outcome(_find_function_witnesses_reference, trajectory, *search)
+    with mock.patch.multiple(verify, _UNIT=unit, _BLOCK=unit):
+        assert _outcome(verify._scan, lattice, *search) == want
+        assert _outcome(find_function_witnesses, trajectory, *search) == want
+
+
+def _verify_filtered_reference(seq, report):
+    """The composition verify_filtered replaced: chi_exact over the whole
+    span, then the dense search, on the parameters the report derived."""
+    p = report["parameters"]
+    dt = p["sample_dt"]
+    shifts = p["t_shift_candidates"]
+    tr = chi_exact(StepSignal(seq, p["mu"]),
+                   FilterConfig(decay=p["decay"], step=p["mu"], sample_dt=dt),
+                   -dt * math.ceil(p["burn_in"] / dt),
+                   p["compact"][1] + max(shifts) + 4.0 * p["sigma"], p["phi0"])
+    result = _find_function_witnesses_reference(
+        tr, shifts, tuple(p["compact"]), p["sigma"], p["tolerance"],
+        report["epsilon0_requested"])
+    return tr, result
+
+
+@st.composite
+def filtered_cases(draw):
+    """An i* window with derived shifts; a Bernoulli drive over 2-5 symbols
+    with explicit shifts that all qualify; or a periodic drive whose
+    shifts are periods, which nothing separates.  sigma = 1/32 keeps the
+    lattice dyadic at every mu."""
+    mu = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    kind = draw(st.sampled_from(["point", "bernoulli", "periodic"]))
+    flags = dict(mu=mu, decay=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                 phi0=draw(st.floats(-1.0, 1.0)),
+                 burn_in=draw(st.sampled_from([2.0, 6.0, 8.0])),
+                 compact=(0.0, 2.0 * mu), sigma=1.0 / 32, half_width=4,
+                 auto_shifts=draw(st.integers(1, 3)))
+    if kind == "point":
+        before = draw(st.integers(64, 600))
+        seq = point_window(-before, before + draw(st.integers(512, 2048)))
+        return seq, flags
+    if kind == "bernoulli":
+        k = draw(st.integers(2, 5))
+        alphabet = Alphabet(tuple(float(v) for v in range(-1, k - 1)))
+        drive = realize(BernoulliSpec(alphabet, (1.0 / k,) * k,
+                                      draw(st.integers(0, 2**32 - 1)), 600))
+        seq = SequenceWindow(alphabet, -64, drive.symbols)
+        epsilon0 = draw(st.sampled_from([1e-3, 0.05]))
+        ks = draw(st.lists(st.integers(1, 500), min_size=1, max_size=4))
+    else:
+        period = draw(st.integers(1, 6))
+        pattern = draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                min_size=period, max_size=period))
+        seq = SequenceWindow(BINARY, -64, np.resize(pattern, 600))
+        epsilon0 = 2.0
+        ks = [period * j for j in draw(st.lists(st.integers(1, 80),
+                                                min_size=1, max_size=4))]
+    return seq, {**flags, "shifts": [z * mu for z in ks], "tolerance": 10.0,
+                 "epsilon0": epsilon0}
+
+
+@given(case=filtered_cases())
+@settings(max_examples=60, deadline=None)
+def test_verify_filtered_equals_chi_exact_and_the_dense_scan(case):
+    seq, flags = case
+    report = verify_filtered(seq, **flags)
+    tr, want = _verify_filtered_reference(seq, report)
+    assert report["data_coverage"] == {"t_min": tr.t_start, "t_max": tr.t_end}
+    assert report["verdict"] == want.verdict
+    assert report["separation_achieved"] == want.separation_achieved
+    assert report["witnesses"] == [asdict(w) for w in want.witnesses]
+    if "shifts" in flags and flags["epsilon0"] == 2.0:
+        assert report["verdict"] == "inconsistent"
+
+
+def test_verify_fn_memory_is_bounded_by_the_unit():
+    # the filtered span of this run holds 5.6e6 samples: 90 MB as arrays
+    code = ("import resource\n"
+            "from unpredictable import point_window, verify_filtered\n"
+            "seq = point_window(-(1 << 15), 1 << 16)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "report = verify_filtered(seq, mu=1.0, decay=1.0, phi0=0.5,\n"
+            "    burn_in=8.0, compact=(0.0, 4.0), half_width=4,\n"
+            "    auto_shifts=30)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(report['verdict'], (after - before) * 1024)\n")
+    src = Path(verify.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    verdict, growth = out.stdout.split()
+    assert verdict == "consistent"
+    assert int(growth) < 40 << 20
 
 
 @given(x=st.lists(st.integers(0, 3), min_size=1, max_size=200),
