@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .symbolspace import BINARY, SequenceWindow
+from .symbolspace import BINARY, SequenceWindow, _whole
 
 #: Deepest family level symbol lookup will walk to.
 MAX_LEVEL = 24
@@ -70,11 +70,11 @@ def family(level: int) -> StringFamily:
     """Generate one level of the string family by the append recursion.
 
     Raises:
-        DomainError: level < 1.
+        DomainError: level is not an integer, or level < 1.
         ResourceError: level exceeds ``MAX_LEVEL``, or its r * 2**r symbols
             exceed ``MAX_WINDOW``, as for a window (so r <= 16).
     """
-    r = int(level)
+    r = _whole("level", level)
     if r < 1:
         raise DomainError("level must be a positive integer")
     if r > MAX_LEVEL:
@@ -110,23 +110,24 @@ def point_symbol(index: int) -> int:
     """Symbol (0 or 1) of the assembled point at one integer index.
 
     Raises:
+        DomainError: index is not an integer.
         ResourceError: the index lies beyond the deepest supported level.
     """
-    return int(_symbols(int(index), 1)[0])
+    return int(_symbols(_whole("index", index), 1)[0])
 
 
 def point_window(first_index: int, length: int) -> SequenceWindow:
     """A window of the assembled point over the {0, 1} alphabet.
 
     Raises:
-        DomainError: length < 1.
+        DomainError: an argument is not an integer, or length < 1.
         ResourceError: length exceeds ``MAX_WINDOW`` or an index lies beyond
             the deepest supported level.
     """
-    n = int(length)
+    n = _whole("length", length)
     if n < 1:
         raise DomainError("length must be a positive integer")
     if n > MAX_WINDOW:
         raise ResourceError(f"window length {n} exceeds {MAX_WINDOW}")
-    first = int(first_index)
+    first = _whole("first_index", first_index)
     return SequenceWindow(BINARY, first, _symbols(first, n))

@@ -17,12 +17,20 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CoverageError, DomainError
+
+
+def _whole(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,8 @@ class SequenceWindow:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
-        object.__setattr__(self, "first_index", int(self.first_index))
+        object.__setattr__(self, "first_index",
+                           _whole("first_index", self.first_index))
 
     @classmethod
     def from_indices(cls, alphabet: Alphabet, first_index: int,
@@ -157,7 +166,7 @@ def metric_distance(first: SequenceWindow, second: SequenceWindow,
     """
     if first.alphabet != second.alphabet:
         raise DomainError("windows use different alphabets")
-    K = int(half_width)
+    K = _whole("half_width", half_width)
     if K < 1:
         raise DomainError("half_width must be a positive integer")
     a = first.segment(-K, K)
@@ -178,7 +187,7 @@ def shift(window: SequenceWindow, times: int = 1) -> SequenceWindow:
     """
     if len(window) < 2:
         raise DomainError("shift needs a window of length at least 2")
-    t = int(times)
+    t = _whole("times", times)
     if t < 1:
         raise DomainError("times must be a positive integer")
     moved = copy.copy(window)

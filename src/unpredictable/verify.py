@@ -14,6 +14,9 @@ limit properties, so the verdicts speak only about the supplied data:
                   shift that is a period of all its samples)
     inconclusive  the data ran out before either of the above
 
+The sequence search qualifies shifts and looks for separating indices in
+blocks that double from a small first size, so it stops reading the window
+once its answer is decided.
 The function-level search plays the same game with a sampled trajectory:
 shifts must reproduce it on a compact interval within a tolerance, and
 separation must persist on a whole subinterval of half-width sigma rather
@@ -34,12 +37,15 @@ import numpy as np
 from .errors import CoverageError, DomainError, ResolutionError
 from .filtering import (_BLOCK, _EDGE_TOL, FilterConfig, StepSignal,
                         Trajectory, _Lattice, separation_constants)
-from .symbolspace import SequenceWindow, metric_distance, shift
+from .symbolspace import SequenceWindow, _whole, metric_distance, shift
 
 _VERDICTS = ("consistent", "inconsistent", "inconclusive")
 
 #: Samples per centre unit of the function scan, the grain of its skip rule.
 _UNIT = 1 << 12
+#: First block of the shift scan and of each eta scan, in windows and in
+#: indices; later blocks double up to ``_BLOCK``.
+_SHIFTS0, _ETAS0 = 1 << 10, 64
 
 
 class _Verdict:
@@ -91,40 +97,56 @@ def _check_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and positive")
 
 
-def _base_checks(seq: SequenceWindow, half_width: int) -> int:
-    L = int(half_width)
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError("tolerance must be finite and nonnegative")
+
+
+def _base_checks(seq: SequenceWindow, half_width: int,
+                 name: str = "half_width") -> int:
+    L = _whole(name, half_width)
     if L < 1:
-        raise DomainError("half_width must be a positive integer")
+        raise DomainError(f"{name} must be a positive integer")
     if not seq.covers(-L, L) or seq.last_index < L + 1:
         raise CoverageError(
             "window must cover [-L, L] plus at least one shifted copy")
     return L
 
 
+def _blocks(lo: int, hi: int, size: int):
+    """Ranges [a, b) that cover [lo, hi), ``size`` long, doubling to _BLOCK."""
+    while lo < hi:
+        size = min(size, _BLOCK)
+        yield lo, min(lo + size, hi)
+        lo, size = lo + size, 2 * size
+
+
+def _shift_blocks(seq: SequenceWindow, L: int, tolerance: float):
+    """The shifts of :func:`qualifying_shifts`, one array per block of
+    windows, read only as far as the consumer asks."""
+    v, base = seq.symbols, seq.segment(-L, L)
+    # window for shift z starts at array offset off0 + z - 1 >= 1
+    off0 = 1 - L - seq.first_index
+    for lo, hi in _blocks(off0, len(v) - 2 * L, _SHIFTS0):
+        err = np.abs(v[lo:hi] - base[0])
+        for k in range(1, 2 * L + 1):
+            err = np.maximum(err, np.abs(v[lo + k:hi + k] - base[k]))
+        yield np.flatnonzero(err <= tolerance) + (lo - off0 + 1)
+
+
 def qualifying_shifts(seq: SequenceWindow, half_width: int,
                       tolerance: float) -> np.ndarray:
     """All shifts z >= 1 whose window [-L + z, L + z] matches [-L, L]
-    within ``tolerance``, in increasing order.
+    within ``tolerance``, in increasing order: the blocks that
+    :func:`find_sequence_witnesses` reads on demand, all of them.
 
     Raises:
         CoverageError: the window cannot hold [-L, L] and one shifted copy.
     """
     L = _base_checks(seq, half_width)
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise DomainError("tolerance must be finite and nonnegative")
-    v = seq.symbols
-    base = seq.segment(-L, L)
-    width = 2 * L + 1
-    # window for shift z starts at array offset z - L - first_index >= 1
-    off0 = 1 - L - seq.first_index
-    windows = np.lib.stride_tricks.sliding_window_view(v, width)[off0:]
-    hits: list[np.ndarray] = []
-    for lo in range(0, windows.shape[0], _BLOCK):
-        block = windows[lo:lo + _BLOCK]
-        err = np.max(np.abs(block - base), axis=1)
-        hits.append(np.flatnonzero(err <= tolerance) + lo)
-    pos = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
-    return pos + 1
+    _check_tolerance(tolerance)
+    return np.concatenate([np.empty(0, dtype=np.int64),
+                           *_shift_blocks(seq, L, tolerance)])
 
 
 def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
@@ -132,22 +154,24 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
                             count: int) -> SequenceVerdict:
     """Search for ``count`` witnesses with strictly increasing z and e.
 
-    Shifts are scanned in increasing order; for each qualifying shift the
-    smallest separating index larger than the previous witness's index is
-    taken, scanning forward from there in blocks of ``_BLOCK`` indices.  If
-    none follows and the sequence is exactly z-periodic over the covered
-    range, the verdict is ``inconsistent``.  ``epsilon0_achieved`` is the
-    smallest separation the reported witnesses sustain, or 0 when there are
-    none.
+    Shifts are qualified in increasing order as they are taken, in blocks
+    of windows doubling from ``_SHIFTS0`` to ``_BLOCK``; for each one the
+    smallest separating index above the previous witness's is taken,
+    scanning forward in blocks doubling from ``_ETAS0`` indices.  If none
+    follows and the sequence is exactly z-periodic over the covered range,
+    the verdict is ``inconsistent``.  ``epsilon0_achieved`` is the smallest
+    separation the reported witnesses sustain, or 0 when there are none.
 
     Raises:
         DomainError: a parameter is out of range.
         CoverageError: the window cannot hold [-L, L] and one shifted copy.
     """
-    L = _base_checks(seq, window_half_width)
+    L = _base_checks(seq, window_half_width, "window_half_width")
     _check_positive("epsilon0", epsilon0)
-    if int(count) < 1:
+    count = _whole("count", count)
+    if count < 1:
         raise DomainError("count must be a positive integer")
+    _check_tolerance(tolerance)
 
     v = seq.symbols
     base = seq.segment(-L, L)
@@ -155,11 +179,11 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
     start = 1 - seq.first_index    # array offset of the smallest eta allowed
     verdict = "inconclusive"
 
-    for zeta in qualifying_shifts(seq, L, tolerance).tolist():
+    shifts = (z for b in _shift_blocks(seq, L, tolerance) for z in b.tolist())
+    for zeta in shifts:
         n = len(v) - zeta    # offsets below n have a partner zeta later
         # the first separating eta after the previous one, a block at a time
-        for lo in range(start, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
+        for lo, hi in _blocks(start, n, _ETAS0):
             gaps = np.abs(v[lo + zeta:hi + zeta] - v[lo:hi])
             hit = np.flatnonzero(gaps >= epsilon0)
             if hit.size:
@@ -196,8 +220,7 @@ def orbit_return_distances(seq: SequenceWindow, half_width: int,
     Raises:
         CoverageError: indices [-K - max_shift, K + max_shift] are missing.
     """
-    K = int(half_width)
-    S = int(max_shift)
+    K, S = _whole("half_width", half_width), _whole("max_shift", max_shift)
     if K < 1 or S < 1:
         raise DomainError("half_width and max_shift must be positive")
     if not seq.covers(-K, K + S):
@@ -228,9 +251,8 @@ def _sliding_min(x: np.ndarray, win: int) -> np.ndarray:
 def _is_period(h, s: int, tolerance: float) -> bool:
     """Whether |v[j + s] - v[j]| <= tolerance for every pair of samples."""
     v, n = h.values, len(h) - s
-    return all(float(np.max(np.abs(v[lo + s:lo + s + _BLOCK]
-                                   - v[lo:min(lo + _BLOCK, n)]))) <= tolerance
-               for lo in range(0, n, _BLOCK))
+    return all(float(np.max(np.abs(v[a + s:b + s] - v[a:b]))) <= tolerance
+               for a, b in _blocks(0, n, _BLOCK))
 
 
 def _search_args(compact, shifts, sigma, tolerance, epsilon0, dt):
@@ -248,8 +270,7 @@ def _search_args(compact, shifts, sigma, tolerance, epsilon0, dt):
     if not all(0 < s < math.inf for s in shifts):
         raise DomainError("shift candidates must be finite and positive")
     _check_positive("sigma", sigma)
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise DomainError("tolerance must be finite and nonnegative")
+    _check_tolerance(tolerance)
     _check_positive("epsilon0", epsilon0)
     if dt > sigma / 8.0 * (1.0 + _EDGE_TOL):
         raise ResolutionError(f"sample spacing {dt!r} exceeds sigma / 8")

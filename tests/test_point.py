@@ -6,6 +6,8 @@ two-table lookup that the |n| closed form replaced is kept as a second,
 differential reference over the whole supported range.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,24 @@ class TestPointSymbols:
     def test_window_length_positive(self):
         with pytest.raises(DomainError):
             point_window(0, 0)
+
+
+WHOLE_NUMBER_ARGUMENTS = {
+    "index": point_symbol,
+    "first_index": lambda x: point_window(x, 8),
+    "length": lambda x: point_window(-4, x),
+    "level": family,
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 10.7, math.nan, math.inf, "3"])
+@pytest.mark.parametrize("name", list(WHOLE_NUMBER_ARGUMENTS))
+def test_whole_number_arguments_are_exact(name, bad):
+    # 10.7 used to be read as 10
+    call = WHOLE_NUMBER_ARGUMENTS[name]
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        call(bad)
+    assert call(np.int64(3)) == call(3)
 
 
 class TestEmbeddedPatterns:

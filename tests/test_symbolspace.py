@@ -1,5 +1,6 @@
 """Alphabets, windows, the truncated metric, and the shift map."""
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -169,6 +170,24 @@ class TestMetric:
         a = window(-1, [0, 1, 0])
         with pytest.raises(DomainError):
             metric_distance(a, a, 0)
+
+
+WHOLE_NUMBER_ARGUMENTS = {
+    "half_width": lambda x: metric_distance(
+        window(-4, [0, 1] * 5), window(-4, [1, 1] * 5), x),
+    "times": lambda x: shift(window(0, [0, 1, 1]), x),
+    "first_index": lambda x: window(x, [0, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.9, math.nan, math.inf, "3"])
+@pytest.mark.parametrize("name", list(WHOLE_NUMBER_ARGUMENTS))
+def test_whole_number_arguments_are_exact(name, bad):
+    # shift(w, 1.9) used to move the origin once
+    call = WHOLE_NUMBER_ARGUMENTS[name]
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        call(bad)
+    assert call(np.int64(3)) == call(3)
 
 
 class TestShift:

@@ -105,6 +105,17 @@ class TestSequenceSearch:
         with pytest.raises(DomainError):
             find_sequence_witnesses(point_64k, 0, 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("name", ["window_half_width", "count"])
+    def test_whole_number_arguments_are_exact(self, point_64k, name, bad):
+        # count=2.5 used to pass the check and then scan the whole window
+        args = dict(window_half_width=4, tolerance=0.0, epsilon0=1.0, count=3)
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            find_sequence_witnesses(point_64k, **{**args, name: bad})
+        want = find_sequence_witnesses(point_64k, **args)
+        assert find_sequence_witnesses(
+            point_64k, **{**args, name: np.int64(args[name])}) == want
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameters(self, point_64k, bad):
         # a NaN tolerance used to reject every shift, an inf one to pass all
@@ -128,6 +139,13 @@ class TestQualifyingShifts:
                 slow.append(z)
         assert fast == slow
 
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3"])
+    def test_half_width_is_a_whole_number(self, point_64k, bad):
+        with pytest.raises(DomainError, match="half_width must be an integer"):
+            qualifying_shifts(point_64k, bad, 0.0)
+        assert qualifying_shifts(point_64k, np.int64(4), 0.0).tolist() == (
+            qualifying_shifts(point_64k, 4, 0.0).tolist())
+
     def test_monotone_in_tolerance(self, point_64k):
         tight = set(qualifying_shifts(point_64k, 4, 0.0).tolist())
         loose = set(qualifying_shifts(point_64k, 4, 0.5).tolist())
@@ -150,6 +168,17 @@ class TestOrbitReturns:
         w = binary_window(-40, [1] * 100)
         with pytest.raises(DomainError, match="positive"):
             orbit_return_distances(w, half_width, max_shift)
+
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("name", ["half_width", "max_shift"])
+    def test_arguments_must_be_whole_numbers(self, name, bad):
+        w = binary_window(-40, [1] * 100)
+        args = dict(half_width=4, max_shift=8)
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            orbit_return_distances(w, **{**args, name: bad})
+        assert orbit_return_distances(
+            w, **{**args, name: np.int64(args[name])}) == (
+                orbit_return_distances(w, **args))
 
     def test_constant_returns_exactly(self):
         w = binary_window(-40, [1] * 100)
@@ -822,6 +851,27 @@ def test_sliding_min_is_the_windowed_min(x, win):
 
 # -- the dense eta scan as a differential reference --------------------------
 
+def _qualifying_shifts_reference(seq, half_width, tolerance):
+    """The whole-window shift scan that the on-demand blocks replaced, kept
+    verbatim so the reference below shares no scan with the search."""
+    L = _base_checks(seq, half_width)
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError("tolerance must be finite and nonnegative")
+    v = seq.symbols
+    base = seq.segment(-L, L)
+    width = 2 * L + 1
+    # window for shift z starts at array offset z - L - first_index >= 1
+    off0 = 1 - L - seq.first_index
+    windows = np.lib.stride_tricks.sliding_window_view(v, width)[off0:]
+    hits: list[np.ndarray] = []
+    for lo in range(0, windows.shape[0], 1 << 16):
+        block = windows[lo:lo + (1 << 16)]
+        err = np.max(np.abs(block - base), axis=1)
+        hits.append(np.flatnonzero(err <= tolerance) + lo)
+    pos = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+    return pos + 1
+
+
 def _find_sequence_witnesses_reference(seq, window_half_width, tolerance,
                                        epsilon0, count):
     """The per-shift whole-window eta scan that the forward scan replaced,
@@ -840,7 +890,7 @@ def _find_sequence_witnesses_reference(seq, window_half_width, tolerance,
     last_eta = 0
     verdict = "inconclusive"
 
-    for zeta in qualifying_shifts(seq, L, tolerance).tolist():
+    for zeta in _qualifying_shifts_reference(seq, L, tolerance).tolist():
         eta_lo = max(1, first)
         eta_hi = last - zeta
         if eta_lo > eta_hi:
@@ -885,38 +935,65 @@ ALPHABETS = (BINARY, Alphabet((-1.0, 0.0, 1.0)),
 @st.composite
 def sequence_cases(draw):
     """An exactly periodic window, the same with one symbol flipped, or a
-    random one, mostly covering [-L, L], and a search over it."""
+    random one, mostly covering [-L, L], and a search over it.  A late flip
+    puts the first separating index, and a late copy of a flip at index 0
+    the first qualifying shift, past several doubled blocks."""
     alphabet = draw(st.sampled_from(ALPHABETS))
     values = np.asarray(alphabet.values)
     L = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["periodic", "flipped", "random",
+                                 "late flip", "late copy"]))
+    late = kind.startswith("late")
     # before = -1, or one symbol less than 2L + 2 + before, leaves no room
     before = draw(st.integers(-1, 40))
-    n = 2 * L + 2 + before + draw(st.integers(-1, 300))
+    n = 2 * L + 2 + before + draw(st.integers(600, 1500) if late
+                                  else st.integers(-1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["periodic", "flipped", "random"]))
+
+    def flip(j):
+        other = alphabet.values.index(symbols[j]) + draw(
+            st.integers(1, values.size - 1))
+        symbols[j] = values[other % values.size]
+
     if kind == "random":
         symbols = values[rng.integers(0, values.size, n)]
     else:
         period = draw(st.integers(1, 12))
         symbols = np.resize(values[rng.integers(0, values.size, period)], n)
         if kind == "flipped":
-            j = draw(st.integers(0, n - 1))
-            other = alphabet.values.index(symbols[j]) + draw(
-                st.integers(1, values.size - 1))
-            symbols[j] = values[other % values.size]
+            flip(draw(st.integers(0, n - 1)))
+        elif kind == "late flip":
+            flip(draw(st.integers(n // 2, n - 1)))
+        elif kind == "late copy":
+            zero = L + before    # array offset of index 0
+            copy = zero + period * draw(st.integers(300 // period,
+                                                    (n - zero - L) // period))
+            assume(copy + L < n)
+            flip(zero)
+            symbols[copy] = symbols[zero]
     seq = SequenceWindow(alphabet, -L - before, symbols)
     return (seq, L, draw(st.sampled_from([0.0, 0.0, 0.3, 1.0])),
             draw(st.sampled_from([1e-9, alphabet.epsilon0, 0.5, 1.0, 2.0])),
             draw(st.integers(1, 8)))
 
 
-@given(case=sequence_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]))
-@settings(max_examples=300, deadline=None)
-def test_forward_eta_scan_equals_the_dense_scan(case, block):
+@given(case=sequence_cases(),
+       sizes=st.tuples(*[st.sampled_from([1, 3, 64, 1 << 16])] * 3))
+@settings(max_examples=400, deadline=None)
+def test_forward_eta_scan_equals_the_dense_scan(case, sizes):
     want = _sequence_outcome(_find_sequence_witnesses_reference, *case)
-    with mock.patch.object(verify, "_BLOCK", block):
+    shifts0, etas0, block = sizes
+    with mock.patch.multiple(verify, _SHIFTS0=shifts0, _ETAS0=etas0,
+                             _BLOCK=block):
         got = _sequence_outcome(find_sequence_witnesses, *case)
+        shifts = _sequence_outcome(qualifying_shifts, *case[:3])
     assert got == want
+    want_shifts = _sequence_outcome(_qualifying_shifts_reference, *case[:3])
+    if isinstance(want_shifts, np.ndarray):
+        assert shifts.dtype == want_shifts.dtype
+        assert shifts.tolist() == want_shifts.tolist()
+    else:
+        assert shifts == want_shifts
 
 
 def test_forward_eta_scan_equals_the_dense_scan_on_the_point():
@@ -924,3 +1001,22 @@ def test_forward_eta_scan_equals_the_dense_scan_on_the_point():
     want = _find_sequence_witnesses_reference(seq, 4, 0.0, 1.0, 500)
     assert want.verdict == "consistent"
     assert find_sequence_witnesses(seq, 4, 0.0, 1.0, 500) == want
+
+
+def test_the_search_reads_the_windows_its_answer_needs():
+    # the benchmark's window: the 500th witness is at a quarter of it
+    seq = point_window(-(1 << 19), 1 << 20)
+    read = []
+    blocks = verify._blocks
+
+    def recording(lo, hi, size):
+        for a, b in blocks(lo, hi, size):
+            if size == verify._SHIFTS0:
+                read.append(b - lo)
+            yield a, b
+
+    with mock.patch.object(verify, "_blocks", recording):
+        result = find_sequence_witnesses(seq, 4, 0.0, 1.0, 500)
+    assert result.verdict == "consistent"
+    last = result.witnesses[-1].zeta
+    assert last <= read[-1] < 2 * last < len(seq) // 2
