@@ -89,7 +89,7 @@ def family(level: int) -> StringFamily:
 
 def _symbols(first: int, n: int) -> np.ndarray:
     """Symbols of the assembled point at indices first..first + n - 1, as
-    float64."""
+    int64 bits, which are their positions in ``BINARY``."""
     last, limit = first + n - 1, int(_CUM[MAX_LEVEL])
     if last >= limit or -first >= limit:
         index = last if last >= limit else first
@@ -98,7 +98,7 @@ def _symbols(first: int, n: int) -> np.ndarray:
     mag = np.abs(first + np.arange(n, dtype=np.int64))
     r = np.searchsorted(_CUM, mag, side="right")
     q, c = np.divmod(mag - _CUM[r - 1], r)
-    out = np.empty(n)
+    out = np.empty(n, np.int64)
     # left of the origin: string 2q + 1 of level r, digit c from the right
     out[:split] = (2 * q[:split] + 1 >> c[:split]) & 1
     # origin and right: string 2q, digit c from the left
@@ -130,4 +130,4 @@ def point_window(first_index: int, length: int) -> SequenceWindow:
     if n > MAX_WINDOW:
         raise ResourceError(f"window length {n} exceeds {MAX_WINDOW}")
     first = _whole("first_index", first_index)
-    return SequenceWindow(BINARY, first, _symbols(first, n))
+    return SequenceWindow.from_indices(BINARY, first, _symbols(first, n))

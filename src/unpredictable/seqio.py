@@ -22,8 +22,11 @@ from .symbolspace import Alphabet, SequenceWindow
 
 def format_sequence(window: SequenceWindow) -> str:
     alphabet = ",".join(repr(v) for v in window.alphabet.values)
-    names = np.array([str(i) for i in range(len(window.alphabet))], object)
-    indices = ",".join(names[window.to_indices()].tolist())
+    # row i of the table is "i," padded with zero bytes to the widest name
+    names = np.array([f"{i}," for i in range(len(window.alphabet))], "S")
+    table = names.view(np.uint8).reshape(len(names), -1)
+    text = np.take(table, window.to_indices(), axis=0).ravel()
+    indices = text[text != 0][:-1].tobytes().decode("ascii")
     return (f"alphabet: {alphabet}\n"
             f"first_index: {window.first_index}\n"
             f"{indices}\n")

@@ -11,6 +11,9 @@ truncated to indices |k| <= K, and the remainder of the full series is
 controlled by an explicit tail bound.  The shift map moves the origin one
 place to the right: the sequence itself is untouched, only its indexing
 changes, so shifting a window decrements ``first_index``.
+
+A window keeps the alphabet positions of its values beside the values, so
+writing it out needs no search, and a shifted window shares both.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -77,36 +80,55 @@ class SequenceWindow:
     """A contiguous, finite view of a bi-infinite symbol sequence.
 
     ``symbols[j]`` is the sequence value at integer index ``first_index + j``.
-    Every stored value must be a member of ``alphabet``.
+    Every stored value must be a member of ``alphabet``.  The window also
+    keeps each value's alphabet position, read-only and in the smallest
+    unsigned dtype that holds them; a shift shares both arrays.
     """
 
     alphabet: Alphabet
     first_index: int
     symbols: np.ndarray
+    _positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.symbols, dtype=np.float64)
+        arr = np.array(self.symbols, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("symbols must be a non-empty 1-d array")
-        if not np.isin(arr, np.asarray(self.alphabet.values)).all():
+        values = np.asarray(self.alphabet.values)
+        order = np.argsort(values)
+        at = np.searchsorted(values, arr, sorter=order)
+        codes = order[np.minimum(at, len(values) - 1)]
+        if not (values[codes] == arr).all():    # NaN is never equal
             raise DomainError("window contains a value outside the alphabet")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "symbols", arr)
-        object.__setattr__(self, "first_index",
-                           _whole("first_index", self.first_index))
+        self._fill(self.alphabet, self.first_index, arr,
+                   codes.astype(np.min_scalar_type(len(values) - 1)))
+
+    def _fill(self, alphabet: Alphabet, first_index: int, symbols: np.ndarray,
+              positions: np.ndarray) -> "SequenceWindow":
+        """Set every field; the arrays become read-only and are not copied."""
+        symbols.setflags(write=False)
+        positions.setflags(write=False)
+        for name, value in (("alphabet", alphabet),
+                            ("first_index", _whole("first_index", first_index)),
+                            ("symbols", symbols), ("_positions", positions)):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def from_indices(cls, alphabet: Alphabet, first_index: int,
                      indices) -> "SequenceWindow":
-        """Build a window from alphabet positions instead of raw values."""
+        """Build a window from alphabet positions instead of raw values: it
+        keeps a compact copy of them and builds its values once, no search."""
         idx = np.asarray(indices)
-        if idx.size and idx.dtype.kind not in "iu":
+        if idx.ndim != 1 or idx.size < 1:
+            raise DomainError("symbols must be a non-empty 1-d array")
+        if idx.dtype.kind not in "iu":
             raise DomainError("symbol indices must be integers")
-        if idx.size and (idx.min() < 0 or idx.max() >= len(alphabet)):
+        if idx.min() < 0 or idx.max() >= len(alphabet):
             raise DomainError("symbol index out of range for the alphabet")
-        values = np.asarray(alphabet.values)[idx]
-        return cls(alphabet, first_index, values)
+        codes = idx.astype(np.min_scalar_type(len(alphabet) - 1))
+        values = np.asarray(alphabet.values)[codes]
+        return object.__new__(cls)._fill(alphabet, first_index, values, codes)
 
     def __len__(self) -> int:
         return int(self.symbols.size)
@@ -140,10 +162,9 @@ class SequenceWindow:
         return self.symbols[off:off + (hi - lo + 1)]
 
     def to_indices(self) -> np.ndarray:
-        """Alphabet positions of the stored values (all are members)."""
-        order = np.argsort(self.alphabet.values)
-        return order[np.searchsorted(self.alphabet.values, self.symbols,
-                                     sorter=order)]
+        """Alphabet positions of the stored values, as a fresh int64 array
+        read from the positions the window keeps."""
+        return self._positions.astype(np.int64)
 
 
 class MetricResult(NamedTuple):

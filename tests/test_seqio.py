@@ -45,9 +45,9 @@ def _format_sequence_reference(window):
             f"{indices}\n")
 
 
-@pytest.mark.parametrize("size", [2, 3, 12])
+@pytest.mark.parametrize("size", [2, 3, 12, 101])
 def test_sequence_text_matches_the_per_symbol_writer(size):
-    # negative values, and positions of two digits once size > 10
+    # negative values, and names of two digits once size > 10, three at 101
     a = Alphabet(tuple(-2.5 + 0.75 * k for k in range(size)))
     idx = np.random.default_rng(size).integers(0, size, 5000)
     idx[:size] = np.arange(size)

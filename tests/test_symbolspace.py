@@ -1,6 +1,7 @@
 """Alphabets, windows, the truncated metric, and the shift map."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unpredictable import (BINARY, Alphabet, CoverageError, DomainError,
-                           SequenceWindow, metric_distance, shift)
+                           SequenceWindow, format_sequence, metric_distance,
+                           parse_sequence, point_window, shift)
 
 
 def window(first, values, alphabet=BINARY):
@@ -89,8 +91,13 @@ class TestSequenceWindow:
         assert list(w.to_indices()) == [1, 0, 1]
 
     def test_from_indices_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            SequenceWindow.from_indices(BINARY, 0, [0, 2])
+        # and index arrays that are empty or not 1-d
+        for indices, message in (
+                ([0, 2], "symbol index out of range for the alphabet"),
+                ([], "symbols must be a non-empty 1-d array"),
+                ([[0, 1]], "symbols must be a non-empty 1-d array")):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                SequenceWindow.from_indices(BINARY, 0, indices)
 
     @pytest.mark.parametrize("indices", [
         [0.5, 1], [0.0, 1.0], np.array([0.0, 1.0]), [2 ** 70], [0, 2 ** 70],
@@ -228,7 +235,9 @@ class TestShift:
 
     def test_does_not_check_membership_again(self):
         w = window(0, [0, 1] * 64)
-        with mock.patch.object(np, "isin", side_effect=AssertionError):
+        with mock.patch.object(np, "isin", side_effect=AssertionError), \
+                mock.patch.object(np, "searchsorted",
+                                  side_effect=AssertionError):
             s = shift(shift(w, 7))
         assert s.first_index == -8
 
@@ -330,3 +339,44 @@ def test_to_indices_matches_the_dict_loop_on_any_alphabet(values, picks):
     a = Alphabet(tuple(values))
     w = SequenceWindow.from_indices(a, 0, [i % len(a) for i in picks])
     assert np.array_equal(w.to_indices(), dict_to_indices(w))
+
+
+# -- positions kept by the window ----------------------------------------------
+
+THREE = Alphabet((3.0, -0.0, -1.0))
+
+
+@pytest.mark.parametrize("build, positions", [
+    (lambda: SequenceWindow.from_indices(THREE, -2, [2, 0, 1, 1]),
+     [2, 0, 1, 1]),
+    (lambda: parse_sequence("alphabet: 3.0,-0.0,-1.0\nfirst_index: 4\n"
+                            "1,2,0\n"), [1, 2, 0]),
+    (lambda: shift(SequenceWindow.from_indices(THREE, 0, [0, 2, 1]), 3),
+     [0, 2, 1]),
+    (lambda: point_window(-5, 10), [1, 1, 1, 0, 1, 0, 0, 0, 1, 0]),
+    (lambda: SequenceWindow(THREE, 0, np.array([0.0, 3.0, -0.0, -1.0])),
+     [1, 0, 1, 2]),
+])
+def test_positions_travel_with_the_window(build, positions):
+    w = build()
+    got = w.to_indices()
+    assert got.dtype == np.int64
+    assert got.tolist() == positions
+    text = format_sequence(w)
+    got[:] = 0
+    assert w.to_indices().tolist() == positions
+    assert format_sequence(w) == text
+
+
+def test_from_indices_allocates_its_values_once():
+    # float64 values and a compact copy of the uint8 positions, no more
+    n = 1 << 20
+    idx = np.arange(n, dtype=np.uint8) % 2
+    tracemalloc.start()
+    try:
+        w = SequenceWindow.from_indices(BINARY, 0, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == n
+    assert peak < 1.3 * 8 * n + n
