@@ -21,9 +21,8 @@ evaluated on demand, any run of them in one vectorized block:
 ``searchsorted`` of the breakpoints into the sample times assigns each
 sample its piece, and one ``np.exp`` applies the same closed form from
 that piece's start.  :func:`chi_exact` evaluates every sample of a span;
-the function-level witness search reads a span without building it, and
-skips runs of samples by their chain values, since chi is monotone on
-every piece and so lies between its values at the piece's two ends.
+the function-level witness search reads a span without building it, only
+as far as its answer needs.
 Nothing is discretized, so the only error is floating-point rounding,
 roughly one unit in the last place per piece crossed.  Two trajectories of
 the same signal started from different values therefore contract toward
@@ -180,12 +179,6 @@ class Trajectory:
             raise DomainError("spacing is undefined for a single sample")
         return (self.t_end - self.t_start) / (len(self) - 1)
 
-    def bounds(self, unit: int) -> tuple[np.ndarray, np.ndarray]:
-        """The smallest and largest value of each run of ``unit`` samples."""
-        starts = np.arange(0, len(self), unit)
-        return (np.minimum.reduceat(self.values, starts),
-                np.maximum.reduceat(self.values, starts))
-
     def at(self, t) -> np.ndarray:
         """Values at the requested times, linearly interpolated.
 
@@ -275,6 +268,8 @@ class _Lattice:
         _check_pair(signal, config)
         if not (math.isfinite(t_start) and math.isfinite(t_end)):
             raise DomainError("time bounds must be finite")
+        if not math.isfinite(chi_start):
+            raise DomainError("chi_start must be finite")
         if t_end <= t_start:
             raise DomainError("t_end must exceed t_start")
         lam, mu, dt = config.decay, signal.step, config.sample_dt
@@ -301,11 +296,6 @@ class _Lattice:
         k_end = (min(_piece_index(signal.origin, mu, self.t_end), last_p) + 1
                  if inside else k)
         self.chis = _chain(signal, lam, k, t_start, float(chi_start), k_end)
-        # samples and chain values lie within 3 roundings of M of their exact
-        # mix of the piece's start and v/lambda; np.exp and math.exp may
-        # misorder ordered arguments by a few ulp
-        big = max(float(np.max(np.abs(self.chis))), signal.sup_abs / lam)
-        self.slack = 32.0 * np.finfo(float).eps * big + 8.0 * 2.0 ** -1074
 
     def __len__(self) -> int:
         return self._n
@@ -336,22 +326,6 @@ class _Lattice:
                        + np.repeat(scaled, counts) * (1.0 - decay))
         return out
 
-    def bounds(self, unit: int) -> tuple[np.ndarray, np.ndarray]:
-        """A range holding each run of ``unit`` samples.  chi is monotone on
-        a piece, so its chain values at the piece's two ends, widened by
-        ``slack``, bound it there; a run ends in the piece the next one
-        starts in, and the hold past coverage is the last chain value."""
-        c = self.chis
-        lo_p = np.minimum(c, np.append(c[1:], c[-1]))
-        hi_p = np.maximum(c, np.append(c[1:], c[-1]))
-        breaks = self.signal.origin + np.arange(
-            self.k0 + 1, self.k0 + c.size) * self.signal.step
-        a = np.searchsorted(breaks, self.t_start + self.dt * np.arange(
-            0, len(self), unit), side="right")
-        b = np.append(a[1:], c.size - 1)
-        return (np.minimum(np.minimum.reduceat(lo_p, a), lo_p[b]) - self.slack,
-                np.maximum(np.maximum.reduceat(hi_p, a), hi_p[b]) + self.slack)
-
 
 def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
               t_end: float, chi_start: float) -> Trajectory:
@@ -365,7 +339,8 @@ def chi_exact(signal: StepSignal, config: FilterConfig, t_start: float,
     starts.  No discretization error is introduced at any spacing.
 
     Raises:
-        DomainError: t_end <= t_start, or config and signal disagree on step.
+        DomainError: t_end <= t_start, a bound or chi_start is not finite,
+            or config and signal disagree on step.
         ResourceError: more than ``MAX_SAMPLES`` samples are requested.
         CoverageError: some sampled time needs a piece outside the window,
             beyond a slack of ``_EDGE_TOL * step`` after its last breakpoint;

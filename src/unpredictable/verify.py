@@ -21,7 +21,7 @@ The function-level search plays the same game with a sampled trajectory:
 shifts must reproduce it on a compact interval within a tolerance, and
 separation must persist on a whole subinterval of half-width sigma rather
 than at a single point.  It reads samples by index, never between them,
-and skips the centres whose bounds rule them out.
+and takes the first separating centre with the same forward scan.
 Every reported witness carries the numbers needed to re-check it from the
 raw data.
 """
@@ -41,10 +41,8 @@ from .symbolspace import SequenceWindow, _whole, metric_distance, shift
 
 _VERDICTS = ("consistent", "inconsistent", "inconclusive")
 
-#: Samples per centre unit of the function scan, the grain of its skip rule.
-_UNIT = 1 << 12
-#: First block of the shift scan and of each eta scan, in windows and in
-#: indices; later blocks double up to ``_BLOCK``.
+#: First block of the shift scan and of each forward scan (etas or
+#: centres), in windows and in indices; later blocks double up to ``_BLOCK``.
 _SHIFTS0, _ETAS0 = 1 << 10, 64
 
 
@@ -87,6 +85,9 @@ class FunctionWitness:
 
 @dataclass(frozen=True)
 class FunctionVerdict(_Verdict):
+    """The witnesses found and the largest separation the scan read: a
+    witness's own, or for a shift without one its best allowed center's."""
+
     witnesses: tuple[FunctionWitness, ...]
     separation_achieved: float
     verdict: str
@@ -119,6 +120,20 @@ def _blocks(lo: int, hi: int, size: int):
         size = min(size, _BLOCK)
         yield lo, min(lo + size, hi)
         lo, size = lo + size, 2 * size
+
+
+def _first_reaching(score, lo: int, hi: int, epsilon0: float):
+    """The first index in [lo, hi) whose ``score(a, b)``, read over blocks
+    [a, b) doubling from ``_ETAS0``, reaches epsilon0, and that score; or
+    -1 and the best score below it (-inf for an empty range)."""
+    best = -math.inf
+    for a, b in _blocks(lo, hi, _ETAS0):
+        x = score(a, b)
+        hit = np.flatnonzero(x >= epsilon0)
+        if hit.size:
+            return a + int(hit[0]), float(x[hit[0]])
+        best = max(best, float(np.max(x)))
+    return -1, best
 
 
 def _shift_blocks(seq: SequenceWindow, L: int, tolerance: float):
@@ -182,23 +197,19 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
     shifts = (z for b in _shift_blocks(seq, L, tolerance) for z in b.tolist())
     for zeta in shifts:
         n = len(v) - zeta    # offsets below n have a partner zeta later
-        # the first separating eta after the previous one, a block at a time
-        for lo, hi in _blocks(start, n, _ETAS0):
-            gaps = np.abs(v[lo + zeta:hi + zeta] - v[lo:hi])
-            hit = np.flatnonzero(gaps >= epsilon0)
-            if hit.size:
-                break
-        else:
+        i, sep = _first_reaching(    # the first separating eta from start
+            lambda a, b: np.abs(v[a + zeta:b + zeta] - v[a:b]),
+            start, n, epsilon0)
+        if i < 0:
             # a separating index before start would make the arrays differ
             if np.array_equal(v[zeta:], v[:n]):
                 verdict = "inconsistent"
                 break
             continue
-        i = lo + int(hit[0])
         err = float(np.max(np.abs(seq.segment(-L + zeta, L + zeta) - base)))
         witnesses.append(SequenceWitness(
             zeta=int(zeta), eta=i + seq.first_index, window=(-L, L),
-            max_window_error=err, separation=float(gaps[hit[0]])))
+            max_window_error=err, separation=sep))
         start = i + 1
         if len(witnesses) == count:
             verdict = "consistent"
@@ -291,22 +302,22 @@ def find_function_witnesses(h: Trajectory,
 
     Each shift T must be a whole number s of samples.  T qualifies when
     |h(t + T) - h(t)| is at most ``tolerance`` on the smallest run of
-    samples that covers the compact [a, b].  For each qualifying shift the
-    search takes the center u whose samples covering [u - sigma, u + sigma]
-    have the largest smallest gap, 0 if the gap changes sign there: the
-    first such center later than the previous witness's.  Centres are
-    visited in units of ``_UNIT`` samples, the unit with the largest bound
-    on |gap| first, and the scan stops when no unit left can reach the best
-    window found; so memory is bounded by the unit size.  A gap of
-    ``epsilon0`` or more makes a witness.  Both checks are exact on a
+    samples that covers the compact [a, b].  A center u separates by the
+    smallest gap on the samples covering [u - sigma, u + sigma], 0 if the
+    gap changes sign there.  For each qualifying shift the search scans the
+    centers after the previous witness's forward, in blocks doubling from
+    ``_ETAS0``, and takes the first that separates by ``epsilon0`` or more
+    as a witness.  Both checks are exact on a
     lattice that holds every breakpoint of a filtered step signal, as
     :func:`verify_filtered` samples it: between neighbouring samples the
     gap c + C*exp(-lambda*t) is monotone, so its extremes are samples.
 
-    ``separation_achieved`` is the best interval separation seen across
-    qualifying shifts even when it falls short of ``epsilon0``.  Without a
-    witness the verdict is ``inconsistent`` only if a qualifying shift is
-    a period of every pair of samples within ``tolerance``.
+    ``separation_achieved`` is the largest separation among the centers
+    read, whatever the block size: a shift's scan ends at its witness, so
+    it contributes the witness's separation, or without one its best
+    allowed center's.  Without a witness the verdict is ``inconsistent``
+    only if a qualifying shift is a period of every pair of samples within
+    ``tolerance``.
 
     Raises:
         ResolutionError: the sample spacing exceeds sigma / 8.
@@ -332,12 +343,19 @@ def _scan(h, t_shift_candidates, compact, sigma, tolerance,
     a0 = math.floor(_snap((alpha - t0) / dt))
     b0 = math.ceil(_snap((beta - t0) / dt))
     m = math.ceil(_snap(2.0 * sigma / dt))    # sample gaps a window spans
-    lows, highs = h.bounds(_UNIT)
 
     witnesses: list[FunctionWitness] = []
     best_overall = 0.0
     periodic = False
     start = a0    # centres grow with the index; none before start is allowed
+
+    def window_minima(lo: int, hi: int) -> np.ndarray:
+        # smallest gap under shift s per window; a sign change counts as 0
+        g = v[lo + s:hi + s + m] - v[lo:hi + m]
+        a = np.abs(g)
+        gaps = np.minimum(a[:-1], a[1:])
+        gaps[np.signbit(g[:-1]) != np.signbit(g[1:])] = 0.0
+        return _sliding_min(gaps, m)
 
     for shift, s in zip(shifts, steps):
         last = len(h) - 1 - s - m    # the last window that has a partner
@@ -347,37 +365,14 @@ def _scan(h, t_shift_candidates, compact, sigma, tolerance,
                                           - v[a0:b0 + 1])))
         if compact_err > tolerance:
             continue
-        # |gap| at the first sample of a window bounds its smallest gap; a
-        # unit's partners lie in the unit s // _UNIT on and the one after it
-        u = np.arange(start // _UNIT, last // _UNIT + 1 if start <= last
-                      else start // _UNIT)
-        p = u + s // _UNIT
-        q = np.minimum(p + 1, highs.size - 1)
-        top = np.maximum(np.maximum(highs[p], highs[q]) - lows[u],
-                         highs[u] - np.minimum(lows[p], lows[q]))
-        # first maximum over allowed windows of the smallest gap on them;
-        # a gap that changes sign between two samples passes through 0
-        sep, best = -1.0, -1
-        for i in np.argsort(-top, kind="stable").tolist():
-            if top[i] < sep:
-                break
-            lo = max(start, int(u[i]) * _UNIT)
-            hi = min(last + 1, int(u[i] + 1) * _UNIT)
-            g = v[lo + s:hi + s + m] - v[lo:hi + m]
-            a = np.abs(g)
-            gaps = np.minimum(a[:-1], a[1:])
-            gaps[np.signbit(g[:-1]) != np.signbit(g[1:])] = 0.0
-            mins = _sliding_min(gaps, m)
-            j = int(np.argmax(mins))
-            if mins[j] > sep or (mins[j] == sep and lo + j < best):
-                sep, best = float(mins[j]), lo + j
+        i, sep = _first_reaching(window_minima, start, last + 1, epsilon0)
         best_overall = max(best_overall, sep)
-        if sep >= epsilon0:
+        if i >= 0:
             witnesses.append(FunctionWitness(
-                t_shift=shift, u_center=float(h.times[best]) + sigma,
+                t_shift=shift, u_center=float(h.times[i]) + sigma,
                 sigma=sigma, max_compact_error=compact_err,
                 min_separation_on_interval=sep))
-            start = best + 1
+            start = i + 1
         elif not (witnesses or periodic):
             periodic = _is_period(h, s, tolerance)
 
@@ -437,7 +432,7 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     compact[1] + max shift + 4*sigma], a lattice that holds every breakpoint.
     The span is never built: the search evaluates the samples it reads on
     demand from the filter's value at every breakpoint, bitwise as
-    :func:`chi_exact` would, and skips units of centres by those values.
+    :func:`chi_exact` would, and stops reading at each shift's witness.
     """
     eps_alpha = seq.alphabet.epsilon0
     constants = separation_constants(eps_alpha)

@@ -131,6 +131,16 @@ class TestFilterCommand:
         assert code == 1
         capsys.readouterr()
 
+    def test_non_finite_phi0_maps_to_1(self, tmp_path, capsys):
+        seq = tmp_path / "drive.seq"
+        run("bernoulli", "--seed", "1", "--length", "200", "--out", str(seq))
+        out = tmp_path / "x.csv"
+        code = run("filter", "--in", str(seq), "--t-end", "15",
+                   "--phi0", "inf", "--out", str(out))
+        assert code == 1
+        assert "chi_start must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_limit_maps_to_1(self, tmp_path, capsys):
         seq = tmp_path / "drive.seq"
         run("bernoulli", "--seed", "1", "--length", "1000", "--out", str(seq))
@@ -313,7 +323,7 @@ class TestReports:
           "--epsilon0", "1", "--count", "3"),
          "31458c7ba9e4504e1dd37b4025135176bfbc224bcea69c1cb8d46c106aecc3bc"),
         (("verify-fn", "--in", "{big}", "--mu", "1"),
-         "b9de69e8d69b4e514ef30d5b139e829d46094b7b7e78d07b9cd6ebfce3c935c8"),
+         "f5dd44c014f85ac588d5049a1870f5e82763cb0b1f07a3e18aa32c1bad18d7f5"),
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--tolerance", "0.05"),
          "38da761625346ff47b5154d9e4176d9a3d1a26e6086abf63ec78825b39085293"),
         (("metric", "--a", "{big}", "--b", "{moved}", "--half-width", "16"),
@@ -322,7 +332,8 @@ class TestReports:
     def test_golden_bytes(self, tmp_path, windows, argv, digest):
         # digests of the reports as written while the CLI held the policy
         # and copied witness fields into the reports by hand; the verify-fn
-        # ones since the search reads its lattice samples by index
+        # ones since the search reads its lattice samples by index, and the
+        # automatic one since it takes the first separating centre
         out = tmp_path / "report.json"
         argv = [a.format(**windows) for a in argv]
         assert run(*argv, "--out", str(out)) == 0
@@ -354,6 +365,8 @@ class TestReports:
          "sigma must be finite"),
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "nan"),
          "sigma must be finite"),
+        (("verify-fn", "--in", "{small}", "--mu", "1", "--phi0", "nan"),
+         "chi_start must be finite"),
     ])
     def test_rejected_parameters_map_to_1(self, tmp_path, capsys, windows,
                                           argv, message):

@@ -455,6 +455,12 @@ class TestVerifyFiltered:
                 verify_filtered(point_window(-64, 256), shifts=[34.0],
                                 **{**FLAGS, **params})
 
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_phi0_is_a_domain_error(self, phi0):
+        with pytest.raises(DomainError, match="chi_start must be finite"):
+            verify_filtered(point_window(-64, 256),
+                            **{**FLAGS, "phi0": phi0})
+
     @pytest.mark.parametrize("params", [
         {"compact": (2.0, 0.0), "shifts": [34.0]},
         {"shifts": []},
@@ -488,7 +494,7 @@ def test_compact_error_is_the_breakpoint_sup(point_64k):
                         span["t_min"], span["t_max"], 0.5)
     reported = {w["t_shift"]: w["max_compact_error"]
                 for w in report["witnesses"]}
-    assert len(reported) == 5
+    assert len(reported) == 29
     for T in shifts:
         k = 8 + int(T)
         want = float(np.max(np.abs(chain[k:k + 5] - chain[8:13])))
@@ -536,8 +542,9 @@ def test_the_lattice_sup_is_never_below_a_finer_lattice(seed, mu, decay,
 
 def _find_function_witnesses_reference(h, t_shift_candidates, compact, sigma,
                                        tolerance, epsilon0):
-    """The whole-range search that the blocked scan replaced, reading the
-    samples by index, to pin the blocked one to it.  Only for exactly
+    """Every window minimum of a shift at once, then the first that reaches
+    epsilon0 after the previous witness's centre, reading the samples by
+    index, to pin the blocked forward scan to it.  Only for exactly
     representable (dyadic) times, shifts and compact bounds."""
     alpha, beta = float(compact[0]), float(compact[1])
     if not alpha < beta:
@@ -588,20 +595,22 @@ def _find_function_witnesses_reference(h, t_shift_candidates, compact, sigma,
             np.maximum(hi, g[a0 + j:a0 + j + n_win], out=hi)
         mins = np.where(lo > 0, lo, np.where(hi < 0, -hi, 0.0))
         centers = t[a0:a0 + n_win] + sigma
-        allowed = centers > last_u
-        if not np.any(allowed):
+        allowed = np.flatnonzero(centers > last_u)
+        if not allowed.size:
             continue
-        idx = np.flatnonzero(allowed)
-        best = idx[int(np.argmax(mins[idx]))]
-        best_overall = max(best_overall, float(mins[best]))
-        if mins[best] >= epsilon0:
+        hits = allowed[mins[allowed] >= epsilon0]
+        if hits.size:
+            first = hits[0]
+            best_overall = max(best_overall, float(mins[first]))
             witnesses.append(FunctionWitness(
-                t_shift=shift, u_center=float(centers[best]), sigma=sigma,
+                t_shift=shift, u_center=float(centers[first]), sigma=sigma,
                 max_compact_error=compact_err,
-                min_separation_on_interval=float(mins[best])))
-            last_u = float(centers[best])
-        elif not witnesses:
-            periodic = periodic or float(np.max(np.abs(g))) <= tolerance
+                min_separation_on_interval=float(mins[first])))
+            last_u = float(centers[first])
+        else:
+            best_overall = max(best_overall, float(np.max(mins[allowed])))
+            if not witnesses:
+                periodic = periodic or float(np.max(np.abs(g))) <= tolerance
 
     if witnesses:
         verdict = "consistent"
@@ -624,8 +633,8 @@ def search_cases(draw):
     """A trajectory on a dyadic lattice and a search whose compact, window
     and shifts are drawn in units of its spacing, so every time involved
     is exact; random walks give windows that separate, quantized walks
-    make plateaus, so the first-maximum rule is tested, and periodic values
-    test the inconsistent verdict."""
+    make plateaus, so ties at epsilon0 are tested, and periodic values test
+    the inconsistent verdict."""
     dt = 2.0 ** -draw(st.integers(0, 6))
     m = draw(st.integers(16, 40))
     sigma = m * dt / 2.0 - draw(st.sampled_from([0.0, dt / 4]))
@@ -645,8 +654,9 @@ def search_cases(draw):
         values = np.resize(rng.uniform(-1.0, 1.0, draw(st.integers(1, 9))),
                            n)
     if draw(st.booleans()):
-        # a fading envelope puts each best centre early, so that later
-        # shifts still find allowed centres and witnesses chain up
+        # a fading envelope puts the separating centres early, so that
+        # some shifts find none after the previous witness's and read
+        # every allowed window
         values = values * np.exp(-4.0 * np.arange(n) / n)
     tr = Trajectory(t0 + dt * np.arange(n), values)
     a0 = draw(st.integers(0, 40))
@@ -668,24 +678,9 @@ def search_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_blocked_search_equals_the_dense_scan(case, block):
     want = _outcome(_find_function_witnesses_reference, *case)
-    with mock.patch.multiple(verify, _UNIT=block, _BLOCK=block):
+    with mock.patch.multiple(verify, _ETAS0=block, _BLOCK=block):
         got = _outcome(find_function_witnesses, *case)
     assert got == want
-
-
-def test_a_unit_bounds_the_partners_in_the_unit_after_its_own():
-    # with units of 8 samples and a shift of 20, centres 80..87 pair with
-    # samples 100..107: the flat unit 96..103 and the unit 104..111, where
-    # the step to 1 gives the best window, at 84; centres 0..3 give 0.5
-    values = np.zeros(160)
-    values[20:60] = 0.5
-    values[104:] = 1.0
-    tr = Trajectory(np.arange(160.0), values)
-    args = (tr, [20.0], (0.0, 1.0), 8.0, 1e9, 0.1)
-    want = _find_function_witnesses_reference(*args)
-    assert want.witnesses[0].u_center == 84.0 + 8.0
-    with mock.patch.object(verify, "_UNIT", 8):
-        assert find_function_witnesses(*args) == want
 
 
 def test_blocked_search_equals_the_dense_scan_on_the_point(point_64k):
@@ -695,15 +690,76 @@ def test_blocked_search_equals_the_dense_scan_on_the_point(point_64k):
                    -8.0, 3030.0, 0.5)
     constants = separation_constants(1.0)
     # the first L=4 return shifts; 2206, 2610 and 3018 qualify at this
-    # tolerance, 2610 must look past u = 161 where 2206 found its witness,
-    # and 3018 has no centre left after 2610's at u = 333
+    # tolerance, 2610 must take a centre past 2206's at u = 5.065, and
+    # 3018 one past 2610's at u = 5.067
     args = (tr, [34.0, 1314.0, 2206.0, 2610.0, 3018.0], (0.0, 4.0),
             constants.kappa_ii / 2.0, 0.01, constants.lower_bound)
     want = _find_function_witnesses_reference(*args)
-    assert [w.t_shift for w in want.witnesses] == [2206.0, 2610.0]
-    for unit in (97, verify._UNIT, 1 << 16):
-        with mock.patch.object(verify, "_UNIT", unit):
+    assert [w.t_shift for w in want.witnesses] == [2206.0, 2610.0, 3018.0]
+    for etas0, block in ((1, 1), (3, 3), (64, 64), (64, 97),
+                         (verify._ETAS0, verify._BLOCK), (1 << 16, 1 << 16)):
+        with mock.patch.multiple(verify, _ETAS0=etas0, _BLOCK=block):
             assert find_function_witnesses(*args) == want
+
+
+@st.composite
+def extended_cases(draw):
+    """A random walk on a dyadic lattice, a search over it, and samples to
+    add at its end: random ones, or a ramp on which every shift separates,
+    so that a shift without a witness before may take one there."""
+    dt = 2.0 ** -draw(st.integers(0, 4))
+    m = draw(st.integers(16, 24))
+    n = draw(st.integers(3 * m, 240))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tr = Trajectory(dt * np.arange(n),
+                    np.cumsum(rng.uniform(-1.0, 1.0, n)) * 0.3)
+    shifts = draw(st.lists(st.integers(1, n - m - 2), min_size=1, max_size=4,
+                           unique=True))
+    k = draw(st.integers(1, 80))
+    extra = (tr.values[-1] + np.cumsum(rng.uniform(0.1, 0.5, k))
+             if draw(st.booleans()) else rng.uniform(-3.0, 3.0, k))
+    search = ([s * dt for s in shifts], (0.0, dt), m * dt / 2.0, 1e9,
+              draw(st.sampled_from([1e-3, 0.05, 0.3])))
+    return tr, search, extra
+
+
+@given(case=extended_cases())
+@settings(max_examples=200, deadline=None)
+def test_added_data_keeps_a_consistent_verdict(case):
+    tr, search, extra = case
+    want = find_function_witnesses(tr, *search)
+    assume(want.verdict == "consistent")
+    n, dt, sigma = len(tr), tr.sample_dt, search[2]
+    longer = Trajectory(dt * np.arange(n + extra.size),
+                        np.concatenate((tr.values, extra)))
+    got = find_function_witnesses(longer, *search)
+    assert got.verdict == "consistent"
+    first = got.witnesses[0]
+    if first != want.witnesses[0]:
+        # only a shift taken before, on a window that reads added samples
+        assert first.t_shift < want.witnesses[0].t_shift
+        j = round((first.u_center - sigma) / dt)
+        assert j + round(first.t_shift / dt) + math.ceil(2 * sigma / dt) >= n
+
+
+def test_added_data_keeps_every_witness(point_64k):
+    # the report's span ends at compact[1] + max shift + 4 sigma; the same
+    # search over the whole coverage keeps its 29 witnesses and adds one
+    report = verify_filtered(point_64k, mu=1.0, decay=1.0, phi0=0.5,
+                             burn_in=8.0, compact=(0.0, 4.0), half_width=4,
+                             auto_shifts=30)
+    p, span = report["parameters"], report["data_coverage"]
+    signal = StepSignal(point_64k, 1.0)
+    cfg = FilterConfig(decay=1.0, step=1.0, sample_dt=p["sample_dt"])
+    search = (p["t_shift_candidates"], (0.0, 4.0), p["sigma"],
+              p["tolerance"], report["epsilon0_requested"])
+    short, whole = (
+        verify._scan(_Lattice(signal, cfg, span["t_min"], t_end, 0.5),
+                     *search)
+        for t_end in (span["t_max"], signal.t_max))
+    assert [asdict(w) for w in short.witnesses] == report["witnesses"]
+    assert len(short.witnesses) == 29 and len(whole.witnesses) == 30
+    assert whole.witnesses[:29] == short.witnesses
 
 
 @st.composite
@@ -742,12 +798,12 @@ def lattice_cases(draw):
                               lattice.chis[0]), search
 
 
-@given(case=lattice_cases(), unit=st.sampled_from([1, 3, 64, 1 << 12]))
+@given(case=lattice_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]))
 @settings(max_examples=200, deadline=None)
-def test_lattice_search_equals_the_dense_scan(case, unit):
+def test_lattice_search_equals_the_dense_scan(case, block):
     lattice, trajectory, search = case
     want = _outcome(_find_function_witnesses_reference, trajectory, *search)
-    with mock.patch.multiple(verify, _UNIT=unit, _BLOCK=unit):
+    with mock.patch.multiple(verify, _ETAS0=block, _BLOCK=block):
         assert _outcome(verify._scan, lattice, *search) == want
         assert _outcome(find_function_witnesses, trajectory, *search) == want
 
@@ -805,11 +861,12 @@ def filtered_cases(draw):
                  "epsilon0": epsilon0}
 
 
-@given(case=filtered_cases())
+@given(case=filtered_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]))
 @settings(max_examples=60, deadline=None)
-def test_verify_filtered_equals_chi_exact_and_the_dense_scan(case):
+def test_verify_filtered_equals_chi_exact_and_the_dense_scan(case, block):
     seq, flags = case
-    report = verify_filtered(seq, **flags)
+    with mock.patch.multiple(verify, _ETAS0=block, _BLOCK=block):
+        report = verify_filtered(seq, **flags)
     tr, want = _verify_filtered_reference(seq, report)
     assert report["data_coverage"] == {"t_min": tr.t_start, "t_max": tr.t_end}
     assert report["verdict"] == want.verdict
