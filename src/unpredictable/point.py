@@ -17,7 +17,7 @@ level order, each string keeping its normal reading direction.  Index 0 holds
 the level-1 string ``0``; the level-1 string ``1`` is not placed on the left
 side, so the left half starts with the level-2 strings:
 
-    ... 110 100 010 000 11 01 . 0 00 10 001 011 101 111 ...
+    ... 111 101 011 001 11 01 . 0 00 10 000 010 100 110 ...
                                 ^ index 0
 
 Every finite pattern of the family recurs in both directions, which is what
@@ -26,16 +26,16 @@ makes the sequence return arbitrarily close to itself under shifts.
 Leaving out ``1`` on the left makes the two sides symmetric in |n|: level 1
 holds only index 0, so for n >= 1 index -n lies at the same offset into the
 same level as index n, and levels 1..r hold every |n| < (r - 1) * 2**r + 1.
-Symbol lookup does not build the concatenation: a ``searchsorted`` of |n|
-over these ``MAX_LEVEL`` + 1 cumulative offsets finds the level r, and the
-offset into it gives the string number q and digit c.  Index n >= 0 reads
-digit c of string 2q (0-based) from the left; index -n reads digit c of
-string 2q + 1 from the right.  The level limit is checked on the exact
-integer indices before any int64 arithmetic, so no index can wrap.
+A window is built a level at a time: on the right, level r is strings 2q
+(0-based) written MSB first for consecutive q; on the left, in |n| order, it
+is strings 2q + 1 written LSB first, then reversed.  ``point_symbol`` finds
+the level r of |n| over the ``MAX_LEVEL`` + 1 cumulative offsets and reads
+one digit.  The level limit is checked on the exact integers first.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +50,7 @@ MAX_LEVEL = 24
 MAX_WINDOW = 1 << 20
 
 #: Levels 1..r hold the indices with |n| < _CUM[r], on either side.
-_CUM = np.array([0] + [(r - 1) * (1 << r) + 1 for r in range(1, MAX_LEVEL + 1)],
-                dtype=np.int64)
+_CUM = (0, *((r - 1) * (1 << r) + 1 for r in range(1, MAX_LEVEL + 1)))
 
 
 @dataclass(frozen=True)
@@ -87,23 +86,25 @@ def family(level: int) -> StringFamily:
     return StringFamily(r, strings)
 
 
-def _symbols(first: int, n: int) -> np.ndarray:
-    """Symbols of the assembled point at indices first..first + n - 1, as
-    int64 bits, which are their positions in ``BINARY``."""
-    last, limit = first + n - 1, int(_CUM[MAX_LEVEL])
+def _check(first: int, last: int) -> None:
+    """Refuse indices beyond level ``MAX_LEVEL``, on the exact integers."""
+    limit = _CUM[MAX_LEVEL]
     if last >= limit or -first >= limit:
         index = last if last >= limit else first
         raise ResourceError(f"index {index} lies beyond level {MAX_LEVEL}")
-    split = min(max(-first, 0), n)  # the negative indices lead the range
-    mag = np.abs(first + np.arange(n, dtype=np.int64))
-    r = np.searchsorted(_CUM, mag, side="right")
-    q, c = np.divmod(mag - _CUM[r - 1], r)
-    out = np.empty(n, np.int64)
-    # left of the origin: string 2q + 1 of level r, digit c from the right
-    out[:split] = (2 * q[:split] + 1 >> c[:split]) & 1
-    # origin and right: string 2q, digit c from the left
-    out[split:] = (2 * q[split:] >> (r[split:] - 1 - c[split:])) & 1
-    return out
+
+
+def _side(out: np.ndarray, m: int, odd: int) -> None:
+    """Write the bits at |n| = m, m + 1, ... of one side into ``out``: level
+    r holds strings 2q + odd, MSB first if odd = 0 and LSB first if odd = 1."""
+    while out.size:
+        r = bisect.bisect_right(_CUM, m)
+        o, take = m - _CUM[r - 1], min(out.size, _CUM[r] - m)
+        q = np.arange(o // r, (o + take - 1) // r + 1, dtype=np.uint32)
+        bits = np.unpackbits((2 * q + odd).astype(">u4").view(np.uint8)
+                             .reshape(-1, 4), axis=1)[:, 32 - r:]
+        out[:take] = (bits[:, ::-1] if odd else bits).ravel()[o % r:][:take]
+        out, m = out[take:], m + take
 
 
 def point_symbol(index: int) -> int:
@@ -113,7 +114,12 @@ def point_symbol(index: int) -> int:
         DomainError: index is not an integer.
         ResourceError: the index lies beyond the deepest supported level.
     """
-    return int(_symbols(_whole("index", index), 1)[0])
+    n = _whole("index", index)
+    _check(n, n)
+    r = bisect.bisect_right(_CUM, abs(n))
+    q, c = divmod(abs(n) - _CUM[r - 1], r)
+    # left: string 2q + 1, digit c from the right; right: 2q, c from the left
+    return (2 * q + 1 >> c if n < 0 else 2 * q >> r - 1 - c) & 1
 
 
 def point_window(first_index: int, length: int) -> SequenceWindow:
@@ -130,4 +136,9 @@ def point_window(first_index: int, length: int) -> SequenceWindow:
     if n > MAX_WINDOW:
         raise ResourceError(f"window length {n} exceeds {MAX_WINDOW}")
     first = _whole("first_index", first_index)
-    return SequenceWindow.from_indices(BINARY, first, _symbols(first, n))
+    _check(first, first + n - 1)
+    bits = np.empty(n, np.uint8)    # the symbols are their BINARY positions
+    split = min(max(-first, 0), n)  # the negative indices lead the range
+    _side(bits[:split][::-1], 1 - first - split, 1)
+    _side(bits[split:], first + split, 0)
+    return SequenceWindow.from_indices(BINARY, first, bits)

@@ -20,12 +20,19 @@ from .filtering import Trajectory
 from .symbolspace import Alphabet, SequenceWindow
 
 
+#: Rows per numpy call in the writers; ``np.take`` casts each block to intp.
+_BLOCK = 1 << 14
+
+
 def format_sequence(window: SequenceWindow) -> str:
     alphabet = ",".join(repr(v) for v in window.alphabet.values)
     # row i of the table is "i," padded with zero bytes to the widest name
     names = np.array([f"{i}," for i in range(len(window.alphabet))], "S")
     table = names.view(np.uint8).reshape(len(names), -1)
-    text = np.take(table, window.to_indices(), axis=0).ravel()
+    text = np.empty((len(window), table.shape[1]), np.uint8)
+    for lo in range(0, len(window), _BLOCK):
+        np.take(table, window._positions[lo:lo + _BLOCK], axis=0,
+                out=text[lo:lo + _BLOCK])
     indices = text[text != 0][:-1].tobytes().decode("ascii")
     return (f"alphabet: {alphabet}\n"
             f"first_index: {window.first_index}\n"
@@ -65,10 +72,6 @@ def read_sequence(path) -> SequenceWindow:
     return parse_sequence(Path(path).read_text())
 
 
-#: Trajectory rows formatted per string in the CSV writers.
-_CSV_BLOCK = 1 << 14
-
-
 def _csv_digits(digits: int) -> int:
     d = int(digits)
     if not 1 <= d <= 17:
@@ -81,9 +84,9 @@ def _csv_blocks(traj: Trajectory, d: int):
     each formatted by a single %-operation over the block's floats."""
     yield "t,value\n"
     row = f"%.{d}g,%.{d}g\n"
-    for lo in range(0, len(traj), _CSV_BLOCK):
-        pairs = np.column_stack((traj.times[lo:lo + _CSV_BLOCK],
-                                 traj.values[lo:lo + _CSV_BLOCK]))
+    for lo in range(0, len(traj), _BLOCK):
+        pairs = np.column_stack((traj.times[lo:lo + _BLOCK],
+                                 traj.values[lo:lo + _BLOCK]))
         yield (row * len(pairs)) % tuple(pairs.ravel().tolist())
 
 

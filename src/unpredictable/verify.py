@@ -441,6 +441,8 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     _check_positive("sigma", sigma)
     if not math.isfinite(burn_in):
         raise DomainError("burn_in must be finite")
+    if not math.isfinite(phi0):
+        raise DomainError("phi0 must be finite")
     signal = StepSignal(seq, mu)
     # past 2**62 samples a piece, dt > sigma / 8 and _search_args refuses it
     dt = mu / math.ceil(min(8.0 * mu / sigma, 2.0 ** 62))

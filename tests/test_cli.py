@@ -366,7 +366,7 @@ class TestReports:
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--sigma", "nan"),
          "sigma must be finite"),
         (("verify-fn", "--in", "{small}", "--mu", "1", "--phi0", "nan"),
-         "chi_start must be finite"),
+         "phi0 must be finite"),
     ])
     def test_rejected_parameters_map_to_1(self, tmp_path, capsys, windows,
                                           argv, message):

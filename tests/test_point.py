@@ -1,15 +1,19 @@
 """The recursive string family and the assembled recurrent point.
 
 The oracle here rebuilds the point by literal concatenation of family
-strings, fully independent of the package's closed-form symbol lookup.  The
-two-table lookup that the |n| closed form replaced is kept as a second,
-differential reference over the whole supported range.
+strings, fully independent of the package's level-wise window build and of
+its closed-form symbol lookup.  The two-table lookup that the |n| closed form
+replaced is kept as a second, differential reference for both over the whole
+supported range.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unpredictable import (DomainError, ResourceError, family, point_symbol,
                            point_window)
@@ -100,6 +104,28 @@ class TestPointSymbols:
 
     def test_window_prefix_frozen(self):
         assert as_string(point_window(0, 17)) == "00010000010100110"
+
+    def test_window_reads_the_module_picture(self):
+        # ... 111 101 011 001 11 01 . 0 00 10 000 010 100 110 ...
+        assert as_string(point_window(-16, 33)) == \
+            "1111010110011101" + "00010000010100110"
+
+    def test_window_keeps_uint8_positions(self):
+        w = point_window(-40, 80)
+        assert w._positions.dtype == np.uint8
+        assert np.array_equal(w._positions, w.symbols)
+
+    def test_window_allocates_its_values_and_positions_only(self):
+        # 8 MiB of float64 values, 1 MiB of uint8 positions and a margin:
+        # no int64 array of window length, which took about 50 MB
+        tracemalloc.start()
+        try:
+            w = point_window(-(1 << 19), 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) == MAX_WINDOW
+        assert peak < (8 << 20) + (3 << 20)
 
     def test_window_matches_symbolwise_lookup(self):
         w = point_window(-40, 80)
@@ -265,6 +291,32 @@ class TestTwoTableReference:
         indices = rng.integers(-LEFT_TOTAL_24, RIGHT_TOTAL_24, 10 ** 5)
         want = _symbols_at(indices)
         assert [point_symbol(i) for i in indices.tolist()] == want.tolist()
+
+
+#: Both sides of every level boundary, the origin and both ends of level 24.
+LEVEL_EDGES = sorted({s * _right_cum(r) for r in range(MAX_LEVEL + 1)
+                      for s in (1, -1)})
+
+
+@st.composite
+def windows_near_edges(draw, lengths):
+    """(first, length) whose window ends at, starts at or straddles an edge."""
+    length = draw(lengths)
+    edge = draw(st.sampled_from(LEVEL_EDGES))
+    return edge - draw(st.integers(-2, length + 2)), length
+
+
+class TestLevelWiseBuild:
+    @given(windows_near_edges(st.integers(1, 5000)))
+    @settings(max_examples=300, deadline=None)
+    def test_short_windows_match_two_tables(self, window):
+        assert_window_matches_two_tables(*window)
+
+    @given(windows_near_edges(st.sampled_from(
+        [MAX_WINDOW // 3, MAX_WINDOW - 1, MAX_WINDOW])))
+    @settings(max_examples=8, deadline=None)
+    def test_long_windows_match_two_tables(self, window):
+        assert_window_matches_two_tables(*window)
 
 
 class TestLevelLimitOnExactIntegers:

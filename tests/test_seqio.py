@@ -1,6 +1,7 @@
 """Round-trips and validation for the three file formats."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,28 @@ def test_sequence_text_matches_the_per_symbol_writer(size):
     for first in (-2600, 0, 17):
         w = SequenceWindow.from_indices(a, first, idx)
         assert format_sequence(w) == _format_sequence_reference(w)
+
+
+def test_sequence_text_across_take_blocks():
+    # the writer looks positions up in blocks of 2**14; names of two digits
+    a = Alphabet(tuple(float(k) for k in range(12)))
+    idx = np.random.default_rng(7).integers(0, 12, 3 * (1 << 14) + 5)
+    w = SequenceWindow.from_indices(a, -40000, idx)
+    assert format_sequence(w) == _format_sequence_reference(w)
+
+
+def test_sequence_writer_makes_no_int64_index_copy():
+    # 2 bytes of text a symbol, a few times over; an int64 copy of the
+    # positions alone would take 8
+    w = SequenceWindow.from_indices(BINARY, 0, np.arange(1 << 20) % 2)
+    tracemalloc.start()
+    try:
+        text = format_sequence(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("0,1,0,1\n")
+    assert peak < 8 << 20
 
 
 def test_sequence_file_round_trip(tmp_path):

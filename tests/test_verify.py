@@ -457,7 +457,7 @@ class TestVerifyFiltered:
 
     @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_phi0_is_a_domain_error(self, phi0):
-        with pytest.raises(DomainError, match="chi_start must be finite"):
+        with pytest.raises(DomainError, match="phi0 must be finite"):
             verify_filtered(point_window(-64, 256),
                             **{**FLAGS, "phi0": phi0})
 
