@@ -4,20 +4,21 @@ A sequence is "unpredictable-consistent" when shifted copies of it keep
 returning close to itself (small zeta-window error) while other shifts
 stay separated (an eta with symbol distance >= epsilon0). The same idea
 applies after filtering: a shift that matches on a compact interval must
-still separate by a fixed margin somewhere nearby. Both searches produce
-JSON-ready reports, so a verdict can be archived next to its evidence.
+still separate by a fixed margin somewhere nearby. Both searches return
+verdict records whose ``dataclasses.asdict`` is their JSON report, so a
+verdict can be archived next to its evidence.
 """
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from unpredictable import (BINARY, FilterConfig, SequenceWindow, StepSignal,
                            chi_exact, find_function_witnesses,
-                           find_sequence_witnesses, function_report,
-                           point_window, separation_constants,
-                           sequence_report)
+                           find_sequence_witnesses, point_window,
+                           separation_constants)
 
 # the i* window passes: three shifts that match on [-4, 4] yet separate
 seq = point_window(-(1 << 15), 1 << 16)
@@ -45,10 +46,6 @@ trajectory = chi_exact(StepSignal(seq, 1.0),
 verdict = find_function_witnesses(trajectory, [3018.0], (0.0, 4.0), sigma,
                                   tolerance=5e-3,
                                   epsilon0=constants.lower_bound)
-report = function_report(verdict,
-                         epsilon0_requested=constants.lower_bound,
-                         predicted_lower_bound=constants.lower_bound,
-                         domain=(trajectory.t_start, trajectory.t_end),
-                         parameters={"mu": 1.0, "sigma": sigma, "dt": dt})
 print("function-level verdict:", verdict.verdict)
-print(json.dumps(report, indent=2))
+# a bare search cannot know the predicted bound, so the report holds null
+print(json.dumps(asdict(verdict), indent=2))

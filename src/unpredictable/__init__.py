@@ -24,9 +24,8 @@ from .symbolspace import (BINARY, Alphabet, MetricResult, SequenceWindow,
                           metric_distance, shift)
 from .verify import (FunctionVerdict, FunctionWitness, SequenceVerdict,
                      SequenceWitness, find_function_witnesses,
-                     find_sequence_witnesses, function_report,
-                     orbit_return_distances, qualifying_shifts,
-                     sequence_report, verify_filtered)
+                     find_sequence_witnesses, orbit_return_distances,
+                     qualifying_shifts, verify_filtered)
 
 __version__ = "0.1.0"
 
@@ -39,10 +38,10 @@ __all__ = [
     "StringFamily", "Trajectory", "UnpredictableError", "chi_exact",
     "chi_quadrature", "family", "find_function_witnesses",
     "find_sequence_witnesses", "format_json_report", "format_sequence",
-    "format_trajectory_csv", "function_report", "metric_distance",
-    "orbit_return_distances", "parse_sequence", "parse_trajectory_csv",
-    "point_symbol", "point_window", "qualifying_shifts", "read_sequence",
-    "read_trajectory_csv", "realize", "separation_constants",
-    "sequence_report", "shift", "verify_filtered", "write_json_report",
-    "write_sequence", "write_trajectory_csv",
+    "format_trajectory_csv", "metric_distance", "orbit_return_distances",
+    "parse_sequence", "parse_trajectory_csv", "point_symbol",
+    "point_window", "qualifying_shifts", "read_sequence",
+    "read_trajectory_csv", "realize", "separation_constants", "shift",
+    "verify_filtered", "write_json_report", "write_sequence",
+    "write_trajectory_csv",
 ]

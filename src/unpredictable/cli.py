@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from .bernoulli import BernoulliSpec, realize
 from .errors import DomainError, UnpredictableError
@@ -20,7 +21,7 @@ from .point import point_window
 from .seqio import (format_json_report, read_sequence, write_json_report,
                     write_sequence, write_trajectory_csv)
 from .symbolspace import Alphabet, metric_distance, shift
-from .verify import find_sequence_witnesses, sequence_report, verify_filtered
+from .verify import find_sequence_witnesses, verify_filtered
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -72,13 +73,10 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_verify_seq(args) -> int:
-    seq = read_sequence(args.infile)
-    result = find_sequence_witnesses(seq, args.half_width, args.tolerance,
+    result = find_sequence_witnesses(read_sequence(args.infile),
+                                     args.half_width, args.tolerance,
                                      args.epsilon0, args.count)
-    report = sequence_report(seq, result, window_half_width=args.half_width,
-                             tolerance=args.tolerance,
-                             epsilon0=args.epsilon0, count=args.count)
-    write_json_report(args.out, report)
+    write_json_report(args.out, asdict(result))
     return 0
 
 
@@ -87,13 +85,13 @@ def _cmd_verify_fn(args) -> int:
     scale = args.mu if args.integer_shifts else 1.0
     shifts = (None if args.shifts is None
               else [s * scale for s in _floats(args.shifts)])
-    report = verify_filtered(
+    result = verify_filtered(
         seq, mu=args.mu, decay=args.decay, phi0=args.phi0,
         burn_in=args.burn_in, compact=(args.alpha, args.beta),
         sigma=args.sigma, tolerance=args.tolerance,
         epsilon0=args.epsilon0, shifts=shifts, half_width=args.half_width,
         auto_shifts=args.auto_shifts)
-    write_json_report(args.out, report)
+    write_json_report(args.out, asdict(result))
     return 0
 
 

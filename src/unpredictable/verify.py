@@ -23,13 +23,14 @@ separation must persist on a whole subinterval of half-width sigma rather
 than at a single point.  It reads samples by index, never between them,
 and takes the first separating centre with the same forward scan.
 Every reported witness carries the numbers needed to re-check it from the
-raw data.
+raw data.  Each search returns its report: ``dataclasses.asdict`` of the
+verdict record is the JSON that ``verify-seq`` or ``verify-fn`` writes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -60,16 +61,22 @@ class SequenceWitness:
 
     zeta: int
     eta: int
-    window: tuple[int, int]
+    window: list[int]
     max_window_error: float
     separation: float
 
 
 @dataclass(frozen=True)
 class SequenceVerdict(_Verdict):
-    witnesses: tuple[SequenceWitness, ...]
-    epsilon0_achieved: float
+    """The ``verify-seq`` report: fields in the order of its JSON keys,
+    lists and dicts as JSON reads them back."""
+
     verdict: str
+    epsilon0_requested: float
+    epsilon0_achieved: float
+    witnesses: list[SequenceWitness]
+    data_coverage: dict
+    parameters: dict
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,18 @@ class FunctionWitness:
 
 @dataclass(frozen=True)
 class FunctionVerdict(_Verdict):
-    """The witnesses found and the largest separation the scan read: a
-    witness's own, or for a shift without one its best allowed center's."""
+    """The ``verify-fn`` report.  ``separation_achieved`` is the largest
+    separation the scan read: a witness's own, or for a shift without one
+    its best allowed center's.  A bare search cannot know the predicted
+    lower bound and leaves it ``None``."""
 
-    witnesses: tuple[FunctionWitness, ...]
-    separation_achieved: float
     verdict: str
+    epsilon0_requested: float
+    separation_achieved: float
+    separation_predicted_lower_bound: float | None
+    witnesses: list[FunctionWitness]
+    data_coverage: dict
+    parameters: dict
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -208,15 +221,18 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
             continue
         err = float(np.max(np.abs(seq.segment(-L + zeta, L + zeta) - base)))
         witnesses.append(SequenceWitness(
-            zeta=int(zeta), eta=i + seq.first_index, window=(-L, L),
+            zeta=int(zeta), eta=i + seq.first_index, window=[-L, L],
             max_window_error=err, separation=sep))
         start = i + 1
         if len(witnesses) == count:
             verdict = "consistent"
             break
 
-    achieved = min((w.separation for w in witnesses), default=0.0)
-    return SequenceVerdict(tuple(witnesses), achieved, verdict)
+    return SequenceVerdict(
+        verdict, epsilon0, min((w.separation for w in witnesses), default=0.0),
+        witnesses,
+        {"first_index": seq.first_index, "last_index": seq.last_index},
+        {"window_half_width": L, "tolerance": tolerance, "count": count})
 
 
 def orbit_return_distances(seq: SequenceWindow, half_width: int,
@@ -378,40 +394,12 @@ def _scan(h, t_shift_candidates, compact, sigma, tolerance,
 
     verdict = ("consistent" if witnesses else
                "inconsistent" if periodic else "inconclusive")
-    return FunctionVerdict(tuple(witnesses), best_overall, verdict)
-
-
-def sequence_report(seq: SequenceWindow, result: SequenceVerdict, *,
-                    window_half_width: int, tolerance: float,
-                    epsilon0: float, count: int) -> dict:
-    """JSON-ready summary of a sequence verification run."""
-    return {
-        "verdict": result.verdict,
-        "epsilon0_requested": epsilon0,
-        "epsilon0_achieved": result.epsilon0_achieved,
-        "witnesses": [asdict(w) for w in result.witnesses],
-        "data_coverage": {"first_index": seq.first_index,
-                          "last_index": seq.last_index},
-        "parameters": {"window_half_width": int(window_half_width),
-                       "tolerance": tolerance,
-                       "count": int(count)},
-    }
-
-
-def function_report(result: FunctionVerdict, *, epsilon0_requested: float,
-                    predicted_lower_bound: float,
-                    domain: tuple[float, float],
-                    parameters: dict) -> dict:
-    """JSON-ready summary of a function verification run."""
-    return {
-        "verdict": result.verdict,
-        "epsilon0_requested": epsilon0_requested,
-        "separation_achieved": result.separation_achieved,
-        "separation_predicted_lower_bound": predicted_lower_bound,
-        "witnesses": [asdict(w) for w in result.witnesses],
-        "data_coverage": {"t_min": domain[0], "t_max": domain[1]},
-        "parameters": parameters,
-    }
+    return FunctionVerdict(
+        verdict, epsilon0, best_overall, None, witnesses,
+        {"t_min": t0, "t_max": h.t_end},
+        {"compact": [alpha, beta], "sigma": sigma, "sample_dt": dt,
+         "tolerance": tolerance,
+         "t_shift_candidates": [float(s) for s in t_shift_candidates]})
 
 
 def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
@@ -420,9 +408,10 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
                     tolerance: float | None = None,
                     epsilon0: float | None = None,
                     shifts: Sequence[float] | None = None,
-                    half_width: int, auto_shifts: int) -> dict:
-    """Filter ``seq`` and return the :func:`function_report` of its search:
-    the library form of ``unpredictable verify-fn``, one keyword per flag.
+                    half_width: int, auto_shifts: int) -> FunctionVerdict:
+    """Filter ``seq`` and return the :class:`FunctionVerdict` of its search,
+    with the predicted lower bound and the filter's parameters added: the
+    library form of ``unpredictable verify-fn``, one keyword per flag.
 
     ``None`` derives sigma = min(kappa_i, kappa_ii)/2, epsilon0 = alphabet
     epsilon0/24, shifts = zeta*mu of ``auto_shifts`` sequence witnesses at
@@ -439,8 +428,8 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     if sigma is None:
         sigma = min(constants.kappa_i, constants.kappa_ii) / 2.0
     _check_positive("sigma", sigma)
-    if not math.isfinite(burn_in):
-        raise DomainError("burn_in must be finite")
+    if not (math.isfinite(burn_in) and burn_in >= 0):
+        raise DomainError("burn_in must be finite and nonnegative")
     if not math.isfinite(phi0):
         raise DomainError("phi0 must be finite")
     signal = StepSignal(seq, mu)
@@ -468,11 +457,9 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
     lattice = _Lattice(signal, config, t_lo,
                        beta + ordered[-1] + 4.0 * sigma, phi0)
     result = _scan(lattice, shifts, compact, sigma, tolerance, epsilon0)
-    return function_report(
-        result, epsilon0_requested=epsilon0,
-        predicted_lower_bound=constants.lower_bound,
-        domain=(lattice.t_start, lattice.t_end),
+    # dt, not the lattice's (t_end - t_start) / (n - 1), which may differ
+    # in the last bit
+    return replace(
+        result, separation_predicted_lower_bound=constants.lower_bound,
         parameters={"mu": mu, "decay": decay, "phi0": phi0,
-                    "burn_in": burn_in, "compact": list(compact),
-                    "sigma": sigma, "sample_dt": dt, "tolerance": tolerance,
-                    "t_shift_candidates": list(shifts)})
+                    "burn_in": burn_in, **result.parameters, "sample_dt": dt})

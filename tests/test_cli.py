@@ -1,12 +1,14 @@
 """End-to-end command-line behaviour, exercised in process."""
 
 import json
+from dataclasses import asdict
 from hashlib import sha256
 
 import numpy as np
 import pytest
 
-from unpredictable import read_sequence, read_trajectory_csv, verify_filtered
+from unpredictable import (find_sequence_witnesses, read_sequence,
+                           read_trajectory_csv, verify_filtered)
 from unpredictable.cli import main
 
 
@@ -331,8 +333,9 @@ class TestReports:
     ])
     def test_golden_bytes(self, tmp_path, windows, argv, digest):
         # digests of the reports as written while the CLI held the policy
-        # and copied witness fields into the reports by hand; the verify-fn
-        # ones since the search reads its lattice samples by index, and the
+        # and copied witness fields into the reports by hand, kept since the
+        # reports became asdict of the verdict records; the verify-fn ones
+        # since the search reads its lattice samples by index, and the
         # automatic one since it takes the first separating centre
         out = tmp_path / "report.json"
         argv = [a.format(**windows) for a in argv]
@@ -343,10 +346,18 @@ class TestReports:
         out = tmp_path / "fn.json"
         assert run("verify-fn", "--in", windows["big"], "--mu", "1",
                    "--out", str(out)) == 0
-        report = verify_filtered(
+        result = verify_filtered(
             read_sequence(windows["big"]), mu=1.0, decay=1.0, phi0=0.5,
             burn_in=8.0, compact=(0.0, 4.0), half_width=4, auto_shifts=3)
-        assert report == json.loads(out.read_text())
+        assert asdict(result) == json.loads(out.read_text())
+
+    def test_library_sequence_report_equals_cli(self, tmp_path, windows):
+        out = tmp_path / "seq.json"
+        assert run("verify-seq", "--in", windows["big"], "--half-width", "4",
+                   "--epsilon0", "1", "--out", str(out)) == 0
+        result = find_sequence_witnesses(read_sequence(windows["big"]),
+                                         4, 0.0, 1.0, 3)
+        assert asdict(result) == json.loads(out.read_text())
 
     @pytest.mark.parametrize("argv, message", [
         (("verify-fn", "--in", "{small}", *FIXED_SHIFT, "--tolerance", "nan"),
@@ -367,6 +378,8 @@ class TestReports:
          "sigma must be finite"),
         (("verify-fn", "--in", "{small}", "--mu", "1", "--phi0", "nan"),
          "phi0 must be finite"),
+        (("verify-fn", "--in", "{small}", "--burn-in", "-1000"),
+         "burn_in must be finite and nonnegative"),
     ])
     def test_rejected_parameters_map_to_1(self, tmp_path, capsys, windows,
                                           argv, message):

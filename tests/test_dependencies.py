@@ -1,8 +1,10 @@
-"""The package needs nothing at run time beyond numpy and the stdlib."""
+"""The package needs nothing at run time beyond numpy and the stdlib, and
+exports exactly its public names."""
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import unpredictable
@@ -25,3 +27,16 @@ def test_import_adds_only_numpy_the_stdlib_and_the_package():
     added = set(out.stdout.split())
     assert {"numpy", "unpredictable"} <= added
     assert added - sys.stdlib_module_names - {"numpy", "unpredictable"} == set()
+
+
+def test_all_lists_every_public_name_once_in_order():
+    exported = unpredictable.__all__
+    public = {name for name, value in vars(unpredictable).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert exported == sorted(set(exported))
+    assert set(exported) == public
+    namespace = {}
+    exec("from unpredictable import *", namespace)
+    assert all(namespace[name] is getattr(unpredictable, name)
+               for name in exported)

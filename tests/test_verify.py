@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -38,7 +37,7 @@ class TestSequenceSearch:
         w = binary_window(-8, [1] * 64)
         result = find_sequence_witnesses(w, 4, 0.0, 1.0, 3)
         assert result.verdict == "inconsistent"
-        assert result.witnesses == ()
+        assert result.witnesses == []
         assert result.epsilon0_achieved == 0.0
 
     def test_alternating_sequence_is_inconsistent(self):
@@ -88,7 +87,7 @@ class TestSequenceSearch:
         recentered = SequenceWindow(BINARY, -1024, w.symbols)
         result = find_sequence_witnesses(recentered, 10, 0.0, 1.0, 1)
         assert result.verdict == "inconclusive"
-        assert result.witnesses == ()
+        assert result.witnesses == []
 
     def test_coverage_requirements(self):
         w = binary_window(0, [0, 1] * 8)
@@ -279,7 +278,7 @@ class TestFunctionSearch:
                                          epsilon0=0.1)
         assert result.verdict == "inconsistent"
         assert result.separation_achieved == 0.0
-        assert result.witnesses == ()
+        assert result.witnesses == []
 
     def test_periodic_function_is_inconsistent(self):
         tr = sine_trajectory(40.0)
@@ -297,7 +296,7 @@ class TestFunctionSearch:
                                          sigma=0.05, tolerance=1e-6,
                                          epsilon0=0.05)
         assert result.verdict == "inconclusive"
-        assert result.witnesses == ()
+        assert result.witnesses == []
         assert 0.0 < result.separation_achieved <= 0.02
 
     def test_nonreturning_shift_is_inconclusive(self):
@@ -315,7 +314,7 @@ class TestFunctionSearch:
         result = find_function_witnesses(tr, [0.25], (0.0, 4.0), sigma=1.0,
                                          tolerance=1.0, epsilon0=0.5)
         assert result.separation_achieved == 0.0
-        assert result.witnesses == ()
+        assert result.witnesses == []
 
     def test_filtered_point_produces_a_witness(self, filtered_point):
         tr, result, constants = filtered_point
@@ -397,26 +396,26 @@ class TestVerifyFiltered:
         sigma = min(c.kappa_i, c.kappa_ii) / 2.0
         fixed = verify_filtered(seq, shifts=[34.0], **FLAGS)
         auto = verify_filtered(seq, **FLAGS)
-        assert fixed["epsilon0_requested"] == c.lower_bound
-        assert fixed["parameters"]["sigma"] == sigma
-        assert fixed["parameters"]["sample_dt"] == 1.0 / 368
+        assert fixed.epsilon0_requested == c.lower_bound
+        assert fixed.parameters["sigma"] == sigma
+        assert fixed.parameters["sample_dt"] == 1.0 / 368
         assert 1.0 / 368 <= sigma / 8.0 < 1.0 / 367
         # amp = 2 sup|pi| / lambda: burn-in transient, plus the history
         # beyond the matched half-width when the shifts are derived
         burn = 2.0 * math.exp(-6.0)
-        assert fixed["parameters"]["tolerance"] == pytest.approx(burn)
-        assert auto["parameters"]["tolerance"] == pytest.approx(
+        assert fixed.parameters["tolerance"] == pytest.approx(burn)
+        assert auto.parameters["tolerance"] == pytest.approx(
             burn + 2.0 * math.exp(-4.0))
         zetas = [w.zeta for w in find_sequence_witnesses(
             seq, 4, 0.0, 1.0, 3).witnesses]
-        assert auto["parameters"]["t_shift_candidates"] == zetas
-        assert auto["data_coverage"]["t_min"] == -6.0
-        assert auto["data_coverage"]["t_max"] == pytest.approx(
+        assert auto.parameters["t_shift_candidates"] == zetas
+        assert auto.data_coverage["t_min"] == -6.0
+        assert auto.data_coverage["t_max"] == pytest.approx(
             2.0 + zetas[-1] + 4.0 * sigma, abs=sigma / 8.0)
 
     @pytest.mark.parametrize("mu, burn_in, t_min", [
         (1.0, 6.0, -6.0), (0.5, 6.1001, -6.1025), (0.3, 1.0001, -1.0025),
-        (1.0, 0.0, 0.0), (1.0, -2.0, 2.0)])
+        (1.0, 0.0, 0.0)])
     def test_the_lattice_holds_every_breakpoint(self, mu, burn_in, t_min):
         sigma = 0.02
         dt = lattice_dt(mu, sigma)
@@ -425,8 +424,8 @@ class TestVerifyFiltered:
                                  compact=(3.0 * mu, 6.0 * mu), sigma=sigma,
                                  shifts=[34.0 * mu], half_width=4,
                                  auto_shifts=1)
-        assert report["parameters"]["sample_dt"] == dt <= sigma / 8.0
-        start = report["data_coverage"]["t_min"]
+        assert report.parameters["sample_dt"] == dt <= sigma / 8.0
+        start = report.data_coverage["t_min"]
         assert start == pytest.approx(t_min, abs=1e-12)
         assert start <= -burn_in + 1e-12
         assert mu / dt == pytest.approx(round(mu / dt), abs=1e-9)
@@ -453,6 +452,20 @@ class TestVerifyFiltered:
                                side_effect=AssertionError("integrated")):
             with pytest.raises((DomainError, ResolutionError)):
                 verify_filtered(point_window(-64, 256), shifts=[34.0],
+                                **{**FLAGS, **params})
+
+    @pytest.mark.parametrize("params", [
+        {"burn_in": -1000.0},    # e^(-decay * burn_in) overflowed
+        {"burn_in": -2.0},       # a derived tolerance above 2 sup|pi| / decay
+        {"burn_in": -2.0, "tolerance": 1e-3, "shifts": [34.0]},
+        {"burn_in": -math.inf, "tolerance": 1e-3},
+    ])
+    def test_a_negative_burn_in_is_a_domain_error(self, params):
+        with mock.patch.object(filtering, "_chain",
+                               side_effect=AssertionError("integrated")):
+            with pytest.raises(DomainError, match="burn_in must be finite "
+                                                  "and nonnegative"):
+                verify_filtered(point_window(-64, 256),
                                 **{**FLAGS, **params})
 
     @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
@@ -482,7 +495,7 @@ def test_compact_error_is_the_breakpoint_sup(point_64k):
     report = verify_filtered(point_64k, mu=1.0, decay=1.0, phi0=0.5,
                              burn_in=8.0, compact=(0.0, 4.0), half_width=4,
                              auto_shifts=30)
-    p, span = report["parameters"], report["data_coverage"]
+    p, span = report.parameters, report.data_coverage
     shifts = p["t_shift_candidates"]
     assert len(shifts) == 30
     signal = StepSignal(point_64k, 1.0)
@@ -492,8 +505,7 @@ def test_compact_error_is_the_breakpoint_sup(point_64k):
     lattice = chi_exact(signal, FilterConfig(decay=1.0, step=1.0,
                                              sample_dt=p["sample_dt"]),
                         span["t_min"], span["t_max"], 0.5)
-    reported = {w["t_shift"]: w["max_compact_error"]
-                for w in report["witnesses"]}
+    reported = {w.t_shift: w.max_compact_error for w in report.witnesses}
     assert len(reported) == 29
     for T in shifts:
         k = 8 + int(T)
@@ -618,7 +630,15 @@ def _find_function_witnesses_reference(h, t_shift_candidates, compact, sigma,
         verdict = "inconsistent"
     else:
         verdict = "inconclusive"
-    return FunctionVerdict(tuple(witnesses), best_overall, verdict)
+    return FunctionVerdict(
+        verdict=verdict, epsilon0_requested=epsilon0,
+        separation_achieved=best_overall,
+        separation_predicted_lower_bound=None, witnesses=witnesses,
+        data_coverage={"t_min": float(t[0]), "t_max": float(t[-1])},
+        parameters={"compact": [alpha, beta], "sigma": sigma,
+                    "sample_dt": float(dt), "tolerance": tolerance,
+                    "t_shift_candidates": [float(s)
+                                           for s in t_shift_candidates]})
 
 
 def _outcome(search, *case):
@@ -748,16 +768,17 @@ def test_added_data_keeps_every_witness(point_64k):
     report = verify_filtered(point_64k, mu=1.0, decay=1.0, phi0=0.5,
                              burn_in=8.0, compact=(0.0, 4.0), half_width=4,
                              auto_shifts=30)
-    p, span = report["parameters"], report["data_coverage"]
+    p, span = report.parameters, report.data_coverage
     signal = StepSignal(point_64k, 1.0)
     cfg = FilterConfig(decay=1.0, step=1.0, sample_dt=p["sample_dt"])
     search = (p["t_shift_candidates"], (0.0, 4.0), p["sigma"],
-              p["tolerance"], report["epsilon0_requested"])
+              p["tolerance"], report.epsilon0_requested)
     short, whole = (
         verify._scan(_Lattice(signal, cfg, span["t_min"], t_end, 0.5),
                      *search)
         for t_end in (span["t_max"], signal.t_max))
-    assert [asdict(w) for w in short.witnesses] == report["witnesses"]
+    assert short.witnesses == report.witnesses
+    assert short.verdict == report.verdict == whole.verdict == "consistent"
     assert len(short.witnesses) == 29 and len(whole.witnesses) == 30
     assert whole.witnesses[:29] == short.witnesses
 
@@ -811,7 +832,7 @@ def test_lattice_search_equals_the_dense_scan(case, block):
 def _verify_filtered_reference(seq, report):
     """The composition verify_filtered replaced: chi_exact over the whole
     span, then the dense search, on the parameters the report derived."""
-    p = report["parameters"]
+    p = report.parameters
     dt = p["sample_dt"]
     shifts = p["t_shift_candidates"]
     tr = chi_exact(StepSignal(seq, p["mu"]),
@@ -820,7 +841,7 @@ def _verify_filtered_reference(seq, report):
                    p["compact"][1] + max(shifts) + 4.0 * p["sigma"], p["phi0"])
     result = _find_function_witnesses_reference(
         tr, shifts, tuple(p["compact"]), p["sigma"], p["tolerance"],
-        report["epsilon0_requested"])
+        report.epsilon0_requested)
     return tr, result
 
 
@@ -868,12 +889,13 @@ def test_verify_filtered_equals_chi_exact_and_the_dense_scan(case, block):
     with mock.patch.multiple(verify, _ETAS0=block, _BLOCK=block):
         report = verify_filtered(seq, **flags)
     tr, want = _verify_filtered_reference(seq, report)
-    assert report["data_coverage"] == {"t_min": tr.t_start, "t_max": tr.t_end}
-    assert report["verdict"] == want.verdict
-    assert report["separation_achieved"] == want.separation_achieved
-    assert report["witnesses"] == [asdict(w) for w in want.witnesses]
+    assert report.data_coverage == {"t_min": tr.t_start, "t_max": tr.t_end}
+    assert report.data_coverage == want.data_coverage
+    assert report.verdict == want.verdict
+    assert report.separation_achieved == want.separation_achieved
+    assert report.witnesses == want.witnesses
     if "shifts" in flags and flags["epsilon0"] == 2.0:
-        assert report["verdict"] == "inconsistent"
+        assert report.verdict == "inconsistent"
 
 
 def test_verify_fn_memory_is_bounded_by_the_unit():
@@ -886,7 +908,7 @@ def test_verify_fn_memory_is_bounded_by_the_unit():
             "    burn_in=8.0, compact=(0.0, 4.0), half_width=4,\n"
             "    auto_shifts=30)\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "print(report['verdict'], (after - before) * 1024)\n")
+            "print(report.verdict, (after - before) * 1024)\n")
     src = Path(verify.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -967,7 +989,7 @@ def _find_sequence_witnesses_reference(seq, window_half_width, tolerance,
         eta = int(etas[pos])
         err = float(np.max(np.abs(seq.segment(-L + zeta, L + zeta) - base)))
         witnesses.append(SequenceWitness(
-            zeta=int(zeta), eta=eta, window=(-L, L),
+            zeta=int(zeta), eta=eta, window=[-L, L],
             max_window_error=err, separation=float(gaps[cand[pos]])))
         last_eta = eta
         if len(witnesses) == count:
@@ -975,7 +997,12 @@ def _find_sequence_witnesses_reference(seq, window_half_width, tolerance,
             break
 
     achieved = min((w.separation for w in witnesses), default=0.0)
-    return SequenceVerdict(tuple(witnesses), achieved, verdict)
+    return SequenceVerdict(
+        verdict=verdict, epsilon0_requested=epsilon0,
+        epsilon0_achieved=achieved, witnesses=witnesses,
+        data_coverage={"first_index": first, "last_index": last},
+        parameters={"window_half_width": L, "tolerance": tolerance,
+                    "count": int(count)})
 
 
 def _sequence_outcome(search, *case):
