@@ -10,7 +10,7 @@ locates the symbol at any index without building the prefix.
 from unpredictable import family, point_symbol, point_window
 
 for level in (1, 2, 3):
-    print(f"level {level}:", " ".join(family(level).strings))
+    print(f"level {level}:", " ".join(family(level)))
 
 w = point_window(-8, 17)
 text = "".join(str(int(v)) for v in w.symbols)

@@ -14,8 +14,7 @@ from .errors import (CoverageError, DomainError, ResolutionError,
 from .filtering import (MAX_SAMPLES, FilterConfig, QuadratureResult,
                         SeparationConstants, StepSignal, Trajectory, chi_exact,
                         chi_quadrature, separation_constants)
-from .point import (MAX_LEVEL, MAX_WINDOW, StringFamily, family,
-                    point_symbol, point_window)
+from .point import MAX_LEVEL, MAX_WINDOW, family, point_symbol, point_window
 from .seqio import (format_json_report, format_sequence,
                     format_trajectory_csv, parse_sequence,
                     parse_trajectory_csv, read_sequence, read_trajectory_csv,
@@ -35,13 +34,12 @@ __all__ = [
     "MAX_SAMPLES", "MAX_WINDOW", "MetricResult", "QuadratureResult",
     "ResolutionError", "ResourceError", "SeparationConstants",
     "SequenceVerdict", "SequenceWindow", "SequenceWitness", "StepSignal",
-    "StringFamily", "Trajectory", "UnpredictableError", "chi_exact",
-    "chi_quadrature", "family", "find_function_witnesses",
-    "find_sequence_witnesses", "format_json_report", "format_sequence",
-    "format_trajectory_csv", "metric_distance", "orbit_return_distances",
-    "parse_sequence", "parse_trajectory_csv", "point_symbol",
-    "point_window", "qualifying_shifts", "read_sequence",
-    "read_trajectory_csv", "realize", "separation_constants", "shift",
-    "verify_filtered", "write_json_report", "write_sequence",
-    "write_trajectory_csv",
+    "Trajectory", "UnpredictableError", "chi_exact", "chi_quadrature",
+    "family", "find_function_witnesses", "find_sequence_witnesses",
+    "format_json_report", "format_sequence", "format_trajectory_csv",
+    "metric_distance", "orbit_return_distances", "parse_sequence",
+    "parse_trajectory_csv", "point_symbol", "point_window",
+    "qualifying_shifts", "read_sequence", "read_trajectory_csv", "realize",
+    "separation_constants", "shift", "verify_filtered", "write_json_report",
+    "write_sequence", "write_trajectory_csv",
 ]

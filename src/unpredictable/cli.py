@@ -37,12 +37,8 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    alphabet = Alphabet(_floats(args.alphabet))
-    probs = _floats(args.p)
-    if len(probs) == 1 and len(alphabet) == 2:
-        # a single value is the chance of the second symbol
-        probs = (1.0 - probs[0], probs[0])
-    spec = BernoulliSpec(alphabet, probs, args.seed, args.length)
+    spec = BernoulliSpec(Alphabet(_floats(args.alphabet)), _floats(args.p),
+                         args.seed, args.length)
     write_sequence(args.out, realize(spec))
     return 0
 
@@ -82,9 +78,7 @@ def _cmd_verify_seq(args) -> int:
 
 def _cmd_verify_fn(args) -> int:
     seq = read_sequence(args.infile)
-    scale = args.mu if args.integer_shifts else 1.0
-    shifts = (None if args.shifts is None
-              else [s * scale for s in _floats(args.shifts)])
+    shifts = None if args.shifts is None else _floats(args.shifts)
     result = verify_filtered(
         seq, mu=args.mu, decay=args.decay, phi0=args.phi0,
         burn_in=args.burn_in, compact=(args.alpha, args.beta),
@@ -112,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bernoulli", help="write a seeded random realization")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--p", default="0.5",
-                   help="symbol probabilities; a single value is the chance "
-                        "of the second symbol (default 0.5)")
+    p.add_argument("--p", default="0.5,0.5",
+                   help="comma-separated probabilities, one per symbol "
+                        "(default 0.5,0.5)")
     p.add_argument("--alphabet", default="0,1",
                    help="comma-separated symbol values (default 0,1)")
     p.add_argument("--out", required=True)
@@ -189,9 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default alphabet epsilon0 / 24)")
     p.add_argument("--shifts", default=None,
                    help="comma-separated time shifts to test")
-    p.add_argument("--integer-shifts", action="store_true",
-                   help="treat --shifts values as symbol counts, "
-                        "scaled by mu")
     p.add_argument("--auto-shifts", type=int, default=3,
                    help="derive this many shifts from a discrete witness "
                         "search when --shifts is absent (default 3)")

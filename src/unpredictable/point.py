@@ -36,12 +36,11 @@ one digit.  The level limit is checked on the exact integers first.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-from .symbolspace import BINARY, SequenceWindow, _whole
+from .errors import ResourceError
+from .symbolspace import BINARY, SequenceWindow, _positive, _whole
 
 #: Deepest family level symbol lookup will walk to.
 MAX_LEVEL = 24
@@ -53,29 +52,16 @@ MAX_WINDOW = 1 << 20
 _CUM = (0, *((r - 1) * (1 << r) + 1 for r in range(1, MAX_LEVEL + 1)))
 
 
-@dataclass(frozen=True)
-class StringFamily:
-    """All binary strings of one level, in construction order."""
-
-    level: int
-    strings: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.strings) != 1 << self.level:
-            raise DomainError("string count does not match the level")
-
-
-def family(level: int) -> StringFamily:
-    """Generate one level of the string family by the append recursion.
+def family(level: int) -> tuple[str, ...]:
+    """All 2**level binary strings of one level of the family, in
+    construction order, generated by the append recursion.
 
     Raises:
         DomainError: level is not an integer, or level < 1.
         ResourceError: level exceeds ``MAX_LEVEL``, or its r * 2**r symbols
             exceed ``MAX_WINDOW``, as for a window (so r <= 16).
     """
-    r = _whole("level", level)
-    if r < 1:
-        raise DomainError("level must be a positive integer")
+    r = _positive("level", level)
     if r > MAX_LEVEL:
         raise ResourceError(f"level {r} exceeds the maximum {MAX_LEVEL}")
     if r << r > MAX_WINDOW:
@@ -83,7 +69,7 @@ def family(level: int) -> StringFamily:
     strings = ("0", "1")
     for _ in range(r - 1):
         strings = tuple(s + bit for s in strings for bit in "01")
-    return StringFamily(r, strings)
+    return strings
 
 
 def _check(first: int, last: int) -> None:
@@ -130,9 +116,7 @@ def point_window(first_index: int, length: int) -> SequenceWindow:
         ResourceError: length exceeds ``MAX_WINDOW`` or an index lies beyond
             the deepest supported level.
     """
-    n = _whole("length", length)
-    if n < 1:
-        raise DomainError("length must be a positive integer")
+    n = _positive("length", length)
     if n > MAX_WINDOW:
         raise ResourceError(f"window length {n} exceeds {MAX_WINDOW}")
     first = _whole("first_index", first_index)

@@ -4,8 +4,8 @@ A sequence file is three lines: the alphabet values, the first index, and
 the symbols as comma-separated alphabet positions.  Storing positions rather
 than values keeps round-trips exact for any real alphabet.  Trajectories go
 to CSV with a ``t,value`` header; reports go to JSON with keys in a fixed
-order.  All writers emit LF newlines so output is byte-stable across
-platforms.
+order.  Files are read and written as UTF-8, and all writers emit LF
+newlines, so output is byte-stable across platforms and locales.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .filtering import Trajectory
-from .symbolspace import Alphabet, SequenceWindow
+from .symbolspace import Alphabet, SequenceWindow, _whole
 
 
 #: Rows per numpy call in the writers; ``np.take`` casts each block to intp.
@@ -64,16 +64,24 @@ def parse_sequence(text: str) -> SequenceWindow:
     return SequenceWindow.from_indices(Alphabet(values), first_index, indices)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def write_sequence(path, window: SequenceWindow) -> None:
-    Path(path).write_text(format_sequence(window), newline="\n")
+    Path(path).write_text(format_sequence(window), encoding="utf-8",
+                          newline="\n")
 
 
 def read_sequence(path) -> SequenceWindow:
-    return parse_sequence(Path(path).read_text())
+    return parse_sequence(_read_text(path))
 
 
 def _csv_digits(digits: int) -> int:
-    d = int(digits)
+    d = _whole("digits", digits)
     if not 1 <= d <= 17:
         raise DomainError("digits must lie in 1..17")
     return d
@@ -111,13 +119,13 @@ def parse_trajectory_csv(text: str) -> Trajectory:
 def write_trajectory_csv(path, traj: Trajectory, digits: int = 17) -> None:
     """Stream the CSV to ``path`` block by block, never holding it whole."""
     d = _csv_digits(digits)
-    with open(path, "w", newline="\n") as out:
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
         for block in _csv_blocks(traj, d):
             out.write(block)
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    return parse_trajectory_csv(Path(path).read_text())
+    return parse_trajectory_csv(_read_text(path))
 
 
 def format_json_report(report: dict) -> str:
@@ -125,4 +133,5 @@ def format_json_report(report: dict) -> str:
 
 
 def write_json_report(path, report: dict) -> None:
-    Path(path).write_text(format_json_report(report), newline="\n")
+    Path(path).write_text(format_json_report(report), encoding="utf-8",
+                          newline="\n")

@@ -36,6 +36,14 @@ def _whole(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, not {value!r}") from None
 
 
+def _positive(name: str, value) -> int:
+    """``value`` read exactly by :func:`_whole`, refused below 1."""
+    n = _whole(name, value)
+    if n < 1:
+        raise DomainError(f"{name} must be a positive integer")
+    return n
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered, distinct real symbol values.
@@ -187,9 +195,7 @@ def metric_distance(first: SequenceWindow, second: SequenceWindow,
     """
     if first.alphabet != second.alphabet:
         raise DomainError("windows use different alphabets")
-    K = _whole("half_width", half_width)
-    if K < 1:
-        raise DomainError("half_width must be a positive integer")
+    K = _positive("half_width", half_width)
     a = first.segment(-K, K)
     b = second.segment(-K, K)
     weights = 0.5 ** np.abs(np.arange(-K, K + 1))
@@ -208,9 +214,7 @@ def shift(window: SequenceWindow, times: int = 1) -> SequenceWindow:
     """
     if len(window) < 2:
         raise DomainError("shift needs a window of length at least 2")
-    t = _whole("times", times)
-    if t < 1:
-        raise DomainError("times must be a positive integer")
+    t = _positive("times", times)
     moved = copy.copy(window)
     object.__setattr__(moved, "first_index", window.first_index - t)
     return moved

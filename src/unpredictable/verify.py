@@ -38,7 +38,8 @@ import numpy as np
 from .errors import CoverageError, DomainError, ResolutionError
 from .filtering import (_BLOCK, _EDGE_TOL, FilterConfig, StepSignal,
                         Trajectory, _Lattice, separation_constants)
-from .symbolspace import SequenceWindow, _whole, metric_distance, shift
+from .symbolspace import (SequenceWindow, _positive, _whole, metric_distance,
+                          shift)
 
 _VERDICTS = ("consistent", "inconsistent", "inconclusive")
 
@@ -118,9 +119,7 @@ def _check_tolerance(tolerance: float) -> None:
 
 def _base_checks(seq: SequenceWindow, half_width: int,
                  name: str = "half_width") -> int:
-    L = _whole(name, half_width)
-    if L < 1:
-        raise DomainError(f"{name} must be a positive integer")
+    L = _positive(name, half_width)
     if not seq.covers(-L, L) or seq.last_index < L + 1:
         raise CoverageError(
             "window must cover [-L, L] plus at least one shifted copy")
@@ -147,6 +146,12 @@ def _first_reaching(score, lo: int, hi: int, epsilon0: float):
             return a + int(hit[0]), float(x[hit[0]])
         best = max(best, float(np.max(x)))
     return -1, best
+
+
+def _is_period(v, n: int, s: int, tolerance: float) -> bool:
+    """Whether |v[j + s] - v[j]| <= tolerance for every j in [0, n)."""
+    return all(float(np.max(np.abs(v[a + s:b + s] - v[a:b]))) <= tolerance
+               for a, b in _blocks(0, n, _BLOCK))
 
 
 def _shift_blocks(seq: SequenceWindow, L: int, tolerance: float):
@@ -196,9 +201,7 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
     """
     L = _base_checks(seq, window_half_width, "window_half_width")
     _check_positive("epsilon0", epsilon0)
-    count = _whole("count", count)
-    if count < 1:
-        raise DomainError("count must be a positive integer")
+    count = _positive("count", count)
     _check_tolerance(tolerance)
 
     v = seq.symbols
@@ -215,7 +218,7 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
             start, n, epsilon0)
         if i < 0:
             # a separating index before start would make the arrays differ
-            if np.array_equal(v[zeta:], v[:n]):
+            if _is_period(v, n, zeta, 0.0):
                 verdict = "inconsistent"
                 break
             continue
@@ -273,13 +276,6 @@ def _sliding_min(x: np.ndarray, win: int) -> np.ndarray:
         # two overlapping windows of the power-of-two width cover win
         x = np.minimum(x[:width - win], x[win - width:])
     return x
-
-
-def _is_period(h, s: int, tolerance: float) -> bool:
-    """Whether |v[j + s] - v[j]| <= tolerance for every pair of samples."""
-    v, n = h.values, len(h) - s
-    return all(float(np.max(np.abs(v[a + s:b + s] - v[a:b]))) <= tolerance
-               for a, b in _blocks(0, n, _BLOCK))
 
 
 def _search_args(compact, shifts, sigma, tolerance, epsilon0, dt):
@@ -390,7 +386,7 @@ def _scan(h, t_shift_candidates, compact, sigma, tolerance,
                 min_separation_on_interval=sep))
             start = i + 1
         elif not (witnesses or periodic):
-            periodic = _is_period(h, s, tolerance)
+            periodic = _is_period(v, len(h) - s, s, tolerance)
 
     verdict = ("consistent" if witnesses else
                "inconsistent" if periodic else "inconclusive")
@@ -440,6 +436,8 @@ def verify_filtered(seq: SequenceWindow, *, mu: float, decay: float,
         epsilon0 = constants.lower_bound
     auto = shifts is None
     if auto:
+        _positive("half_width", half_width)
+        _positive("auto_shifts", auto_shifts)
         coarse = find_sequence_witnesses(seq, half_width, 0.0,
                                          eps_alpha, auto_shifts)
         if not coarse.witnesses:

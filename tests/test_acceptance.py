@@ -88,7 +88,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_construction_fidelity():
     """Level-2 strings and the 17-symbol prefix match a literal oracle."""
-    ok = family(2).strings == ("00", "01", "10", "11")
+    ok = family(2) == ("00", "01", "10", "11")
     # hand-rolled concatenation: level-1 and the odd strings of levels 2, 3
     oracle = "0" + "00" + "10" + "000" + "010" + "100" + "110"
     window_text = "".join(
@@ -201,8 +201,8 @@ def test_criterion_8_reproducibility(tmp_path):
     twice("verify-seq", "verify-seq", "--in", str(seq), "--half-width", "4",
           "--epsilon0", "1", "--count", "2")
     twice("verify-fn", "verify-fn", "--in", str(seq), "--mu", "1",
-          "--shifts", "34", "--integer-shifts", "--beta", "2",
-          "--burn-in", "6", "--tolerance", "0.05")
+          "--shifts", "34", "--beta", "2", "--burn-in", "6",
+          "--tolerance", "0.05")
     ok = ok and all(same for _, same in pairs)
 
     # format round-trips: sequence bytes, 17-digit CSV, JSON reports

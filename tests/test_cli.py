@@ -84,11 +84,20 @@ class TestBernoulliCommand:
                        "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_single_p_means_second_symbol(self, tmp_path):
+    def test_all_weight_on_the_second_symbol(self, tmp_path):
         out = tmp_path / "ones.seq"
-        run("bernoulli", "--seed", "3", "--length", "40", "--p", "1.0",
+        run("bernoulli", "--seed", "3", "--length", "40", "--p", "0,1",
             "--out", str(out))
         assert np.all(read_sequence(out).symbols == 1.0)
+
+    def test_one_probability_for_two_symbols_is_1(self, tmp_path, capsys):
+        # one number used to be read as the chance of the second symbol
+        out = tmp_path / "x.seq"
+        assert run("bernoulli", "--seed", "3", "--length", "40",
+                   "--p", "0.3", "--out", str(out)) == 1
+        assert "need exactly one probability per symbol" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_explicit_distribution(self, tmp_path):
         out = tmp_path / "tri.seq"
@@ -192,6 +201,15 @@ class TestMetricAndShiftCommands:
         assert set(data) == {"value", "tail_bound"}
         assert data["value"] > 0.0
 
+    def test_undecodable_file_is_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.seq"
+        bad.write_bytes(b"alphabet: 0.0,1.0\nfirst_index: 0\n0,\xe9\n")
+        out = tmp_path / "y.seq"
+        assert run("shift", "--in", str(bad), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad} is not UTF-8 text")
+        assert not out.exists()
+
     @pytest.mark.parametrize("index", ["99999999999999999999", "-1", "0.5"])
     def test_bad_index_in_file_is_1(self, tmp_path, capsys, index):
         bad = tmp_path / "big.seq"
@@ -238,7 +256,7 @@ class TestVerifyCommands:
     def test_verify_seq_periodic_control(self, tmp_path):
         seq = tmp_path / "p.seq"
         report = tmp_path / "r.json"
-        run("bernoulli", "--seed", "0", "--length", "64", "--p", "0.0",
+        run("bernoulli", "--seed", "0", "--length", "64", "--p", "1,0",
             "--out", str(seq))
         shifted = tmp_path / "c.seq"
         run("shift", "--in", str(seq), "--times", "32", "--out", str(shifted))
@@ -252,7 +270,7 @@ class TestVerifyCommands:
         report = tmp_path / "r.json"
         run("point", "--first", "-64", "--length", "256", "--out", str(seq))
         code = run("verify-fn", "--in", str(seq), "--mu", "1",
-                   "--shifts", "34", "--integer-shifts",
+                   "--shifts", "34",
                    "--alpha", "0", "--beta", "2", "--burn-in", "6",
                    "--tolerance", "0.05", "--out", str(report))
         assert code == 0
@@ -270,6 +288,14 @@ class TestVerifyCommands:
         assert "--dt" not in capsys.readouterr().out
         assert run("verify-fn", "--in", "x.seq", "--dt", "0.001",
                    "--out", str(tmp_path / "r.json")) == 2
+        capsys.readouterr()
+
+    def test_verify_fn_has_no_integer_shifts_option(self, tmp_path, capsys):
+        # --shifts are times; they used to be rescaled by mu under this flag
+        assert run("verify-fn", "--help") == 0
+        assert "--integer-shifts" not in capsys.readouterr().out
+        assert run("verify-fn", "--in", "x.seq", "--shifts", "34",
+                   "--integer-shifts", "--out", str(tmp_path / "r.json")) == 2
         capsys.readouterr()
 
     def test_a_period_over_the_compact_only_is_inconclusive(self, tmp_path):
@@ -294,7 +320,7 @@ class TestVerifyCommands:
         b = tmp_path / "b.json"
         for out in (a, b):
             assert run("verify-fn", "--in", str(seq), "--mu", "1",
-                       "--shifts", "34", "--integer-shifts",
+                       "--shifts", "34",
                        "--alpha", "0", "--beta", "2", "--burn-in", "6",
                        "--tolerance", "0.05", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -315,8 +341,8 @@ def windows(tmp_path_factory):
     return paths
 
 
-FIXED_SHIFT = ("--mu", "1", "--shifts", "34", "--integer-shifts",
-               "--beta", "2", "--burn-in", "6")
+FIXED_SHIFT = ("--mu", "1", "--shifts", "34", "--beta", "2",
+               "--burn-in", "6")
 
 
 class TestReports:
@@ -380,6 +406,11 @@ class TestReports:
          "phi0 must be finite"),
         (("verify-fn", "--in", "{small}", "--burn-in", "-1000"),
          "burn_in must be finite and nonnegative"),
+        # these two used to be reported as count and window_half_width
+        (("verify-fn", "--in", "{small}", "--auto-shifts", "0"),
+         "auto_shifts must be a positive integer"),
+        (("verify-fn", "--in", "{small}", "--half-width", "0"),
+         "error: half_width must be a positive integer"),
     ])
     def test_rejected_parameters_map_to_1(self, tmp_path, capsys, windows,
                                           argv, message):

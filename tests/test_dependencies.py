@@ -1,6 +1,8 @@
-"""The package needs nothing at run time beyond numpy and the stdlib, and
-exports exactly its public names."""
+"""The package needs nothing at run time beyond numpy and the stdlib,
+exports exactly its public names, and names the encoding of every file it
+opens."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -40,3 +42,18 @@ def test_all_lists_every_public_name_once_in_order():
     exec("from unpredictable import *", namespace)
     assert all(namespace[name] is getattr(unpredictable, name)
                for name in exported)
+
+
+def test_every_file_call_names_its_encoding():
+    # without one, text files are read and written in the locale's encoding
+    src = Path(unpredictable.__file__).resolve().parent
+    unnamed = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if (name in ("open", "read_text", "write_text")
+                    and "encoding" not in {k.arg for k in node.keywords}):
+                unnamed.append(f"{path.name}:{node.lineno} {name}")
+    assert unnamed == []

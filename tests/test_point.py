@@ -55,18 +55,18 @@ def as_string(window):
 
 class TestFamily:
     def test_level_one(self):
-        assert family(1).strings == ("0", "1")
+        assert family(1) == ("0", "1")
 
     def test_level_two(self):
-        assert family(2).strings == ("00", "01", "10", "11")
+        assert family(2) == ("00", "01", "10", "11")
 
     def test_level_three_matches_binary_counting(self):
-        assert family(3).strings == tuple(f"{k:03b}" for k in range(8))
+        assert family(3) == tuple(f"{k:03b}" for k in range(8))
 
     @pytest.mark.parametrize("r", [4, 7, 10])
     def test_children_extend_parents(self, r):
-        parents = family(r - 1).strings
-        children = family(r).strings
+        parents = family(r - 1)
+        children = family(r)
         for k, parent in enumerate(parents):
             assert children[2 * k] == parent + "0"
             assert children[2 * k + 1] == parent + "1"
@@ -82,7 +82,7 @@ class TestFamily:
     def test_allocation_limit(self):
         # level r holds r * 2**r symbols: level 16 is exactly MAX_WINDOW
         assert 16 << 16 == MAX_WINDOW
-        assert len(family(16).strings) == 1 << 16
+        assert len(family(16)) == 1 << 16
         with pytest.raises(ResourceError, match="symbols"):
             family(17)
         # the level cap is checked first, before r << r is formed

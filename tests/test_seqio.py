@@ -1,6 +1,7 @@
 """Round-trips and validation for the three file formats."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,19 @@ def test_sequence_file_round_trip(tmp_path):
     text = p.read_text()
     write_sequence(p, read_sequence(p))
     assert p.read_text() == text
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_sequence, b"alphabet: 0.0,1.0\nfirst_index: 0\n0,\xe9\n"),
+    (read_trajectory_csv, b"t,value\n0,1\n\xe9,2\n"),
+], ids=["sequence", "trajectory"])
+def test_undecodable_files_are_domain_errors(tmp_path, read, text):
+    # the locale's decoder used to end in an uncaught UnicodeDecodeError
+    p = tmp_path / "bad.txt"
+    p.write_bytes(text)
+    message = f"^{re.escape(str(p))} is not UTF-8 text"
+    with pytest.raises(DomainError, match=message):
+        read(p)
 
 
 @pytest.mark.parametrize("text", [
@@ -193,6 +207,12 @@ def test_trajectory_digits_validation():
     for bad in (0, 18, -3):
         with pytest.raises(DomainError):
             format_trajectory_csv(tr, digits=bad)
+    # 2.5 used to write 2 digits and 17.9 to write 17
+    for bad in (2.5, 17.9, "3"):
+        with pytest.raises(DomainError, match="digits must be an integer"):
+            format_trajectory_csv(tr, digits=bad)
+    assert format_trajectory_csv(tr, np.int64(3)) == (
+        format_trajectory_csv(tr, 3))
 
 
 def test_bad_digits_leave_no_file(tmp_path):
