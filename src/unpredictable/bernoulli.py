@@ -15,7 +15,6 @@ tests keep that stdlib loop as the reference.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .point import MAX_WINDOW
-from .symbolspace import Alphabet, SequenceWindow
+from .symbolspace import Alphabet, SequenceWindow, _positive, _whole
 
 _SUM_TOL = 1e-12
 
@@ -57,14 +56,10 @@ class BernoulliSpec:
             raise DomainError("probabilities must lie in [0, 1]")
         if abs(sum(probs) - 1.0) > _SUM_TOL:
             raise DomainError("probabilities must sum to 1")
-        try:
-            seed, length = map(operator.index, (self.seed, self.length))
-        except TypeError:
-            raise DomainError("seed and length must be integers") from None
+        seed = _whole("seed", self.seed)
+        length = _positive("length", self.length)
         if not 0 <= seed < 1 << 64:
             raise DomainError("seed must fit in 64 unsigned bits")
-        if length < 1:
-            raise DomainError("length must be a positive integer")
         if length > MAX_WINDOW:
             raise ResourceError(f"length {length} exceeds {MAX_WINDOW}")
         object.__setattr__(self, "seed", seed)
@@ -80,7 +75,7 @@ def realize(spec: BernoulliSpec) -> SequenceWindow:
     """
     rng = random.Random(spec.seed)
     cuts = np.array(list(accumulate(spec.probabilities[:-1])))
-    idx = np.empty(spec.length, dtype=np.int64)
+    idx = np.empty(spec.length, np.min_scalar_type(len(spec.alphabet) - 1))
     for lo in range(0, spec.length, _BLOCK):
         k = min(_BLOCK, spec.length - lo)
         bits = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
@@ -89,4 +84,4 @@ def realize(spec: BernoulliSpec) -> SequenceWindow:
         u += words[1::2] >> 6
         u *= 1.0 / (1 << 53)
         idx[lo:lo + k] = np.searchsorted(cuts, u, side="right")
-    return SequenceWindow.from_indices(spec.alphabet, 0, idx)
+    return SequenceWindow._adopt(spec.alphabet, 0, idx)

@@ -20,9 +20,11 @@ prefix-scan chain would change the output bytes.  Samples are then
 evaluated on demand, any run of them in one vectorized block:
 ``searchsorted`` of the breakpoints into the sample times assigns each
 sample its piece, and one ``np.exp`` applies the same closed form from
-that piece's start.  :func:`chi_exact` evaluates every sample of a span;
-the function-level witness search reads a span without building it, only
-as far as its answer needs.
+that piece's start, so sample bytes hold per host only: numpy's AVX512
+and AVX2 ``exp`` kernels differ in the last bit on a few percent of
+arguments.  :func:`chi_exact` evaluates every sample of a span; the
+function-level witness search reads a span without building it, only as
+far as its answer needs.
 Nothing is discretized, so the only error is floating-point rounding,
 roughly one unit in the last place per piece crossed.  Two trajectories of
 the same signal started from different values therefore contract toward
@@ -86,8 +88,10 @@ class StepSignal:
 
     @property
     def sup_abs(self) -> float:
-        """Largest |pi(t)| attained on the covered range."""
-        return float(np.max(np.abs(self.sequence.symbols)))
+        """Largest |pi(t)| attained: the largest |value| that occurs."""
+        positions = self.sequence._positions
+        return max(abs(v) for i, v in enumerate(self.sequence.alphabet.values)
+                   if (positions == i).any())
 
     def value_at(self, t: float) -> float:
         """pi(t) for a time inside the covered range."""

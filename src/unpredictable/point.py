@@ -125,4 +125,4 @@ def point_window(first_index: int, length: int) -> SequenceWindow:
     split = min(max(-first, 0), n)  # the negative indices lead the range
     _side(bits[:split][::-1], 1 - first - split, 1)
     _side(bits[split:], first + split, 0)
-    return SequenceWindow.from_indices(BINARY, first, bits)
+    return SequenceWindow._adopt(BINARY, first, bits)

@@ -2,10 +2,12 @@
 
 A sequence file is three lines: the alphabet values, the first index, and
 the symbols as comma-separated alphabet positions.  Storing positions rather
-than values keeps round-trips exact for any real alphabet.  Trajectories go
-to CSV with a ``t,value`` header; reports go to JSON with keys in a fixed
-order.  Files are read and written as UTF-8, and all writers emit LF
-newlines, so output is byte-stable across platforms and locales.
+than values keeps round-trips exact for any real alphabet.  Sequence files
+are bytes in and out: the writer streams the window's positions a block at
+a time, and the reader views single digits in place.  Trajectories go to
+CSV with a ``t,value`` header; reports go to JSON with keys in a fixed
+order.  Text is UTF-8, and all writers emit LF newlines, so output is
+byte-stable across platforms and locales.
 """
 
 from __future__ import annotations
@@ -24,23 +26,40 @@ from .symbolspace import Alphabet, SequenceWindow, _whole
 _BLOCK = 1 << 14
 
 
-def format_sequence(window: SequenceWindow) -> str:
-    alphabet = ",".join(repr(v) for v in window.alphabet.values)
+def _sequence_blocks(window: SequenceWindow):
+    """The sequence file's bytes in pieces: the two header lines, then the
+    index line one block of symbols at a time."""
+    yield (f"alphabet: {','.join(repr(v) for v in window.alphabet.values)}\n"
+           f"first_index: {window.first_index}\n").encode("ascii")
     # row i of the table is "i," padded with zero bytes to the widest name
     names = np.array([f"{i}," for i in range(len(window.alphabet))], "S")
     table = names.view(np.uint8).reshape(len(names), -1)
-    text = np.empty((len(window), table.shape[1]), np.uint8)
     for lo in range(0, len(window), _BLOCK):
-        np.take(table, window._positions[lo:lo + _BLOCK], axis=0,
-                out=text[lo:lo + _BLOCK])
-    indices = text[text != 0][:-1].tobytes().decode("ascii")
-    return (f"alphabet: {alphabet}\n"
-            f"first_index: {window.first_index}\n"
-            f"{indices}\n")
+        rows = np.take(table, window._positions[lo:lo + _BLOCK], axis=0)
+        text = rows[rows != 0]
+        if lo + _BLOCK >= len(window):
+            text[-1] = ord("\n")    # the last name ends the line
+        yield text.tobytes()
 
 
-def parse_sequence(text: str) -> SequenceWindow:
-    lines = text.splitlines()
+def format_sequence(window: SequenceWindow) -> bytes:
+    return b"".join(_sequence_blocks(window))
+
+
+def parse_sequence(data: bytes) -> SequenceWindow:
+    """A window from a sequence file's bytes: an index line of single digits
+    is read in place, undecoded; any other is read exactly as int() reads
+    it.  Raises UnicodeDecodeError on bytes that are not UTF-8 text."""
+    cut = data.find(b"\n", data.find(b"\n") + 1) + 1    # after line two
+    size = len(data) - data.endswith(b"\n") - cut if cut else 0
+    raw = np.frombuffer(data, np.uint8, max(size, 0), cut)
+    commas, indices = raw[1::2], raw[0::2] - 48    # non-digits wrap past 9
+    # "d,d,...,d": min and max need no temporary array, and "," is 44
+    single = (raw.size % 2 and indices.max() <= 9
+              and commas.min(initial=44) == 44 == commas.max(initial=44))
+    # that line holds no line break, so the head alone counts the lines
+    lines = (data[:cut].decode("utf-8").splitlines() + [""] if single
+             else data.decode("utf-8").splitlines())
     if len(lines) != 3:
         raise DomainError("sequence file must have exactly three lines")
     head, idx_head, body = lines
@@ -48,36 +67,32 @@ def parse_sequence(text: str) -> SequenceWindow:
         raise DomainError("first line must start with 'alphabet:'")
     if not idx_head.startswith("first_index:"):
         raise DomainError("second line must start with 'first_index:'")
-    indices = None
-    if body.isascii() and len(body) % 2:    # single digits: "d,d,...,d"
-        raw = np.frombuffer(body.encode("ascii"), np.uint8)
-        digits = raw[0::2] - 48
-        if (digits < 10).all() and (raw[1::2] == 44).all():
-            indices = digits
     try:
         values = tuple(float(v) for v in head[len("alphabet:"):].split(","))
         first_index = int(idx_head[len("first_index:"):].strip())
-        if indices is None:
+        if not single:
             indices = np.array(body.split(","), dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"malformed sequence file: {exc}") from None
-    return SequenceWindow.from_indices(Alphabet(values), first_index, indices)
+    return SequenceWindow._adopt(Alphabet(values), first_index, indices)
 
 
-def _read_text(path) -> str:
+def _read(path, parse):
+    """``parse`` of the file's bytes; text not in UTF-8 is a DomainError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_bytes())
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def write_sequence(path, window: SequenceWindow) -> None:
-    Path(path).write_text(format_sequence(window), encoding="utf-8",
-                          newline="\n")
+    """Stream the sequence file to ``path`` block by block."""
+    with open(path, "wb") as out:
+        out.writelines(_sequence_blocks(window))
 
 
 def read_sequence(path) -> SequenceWindow:
-    return parse_sequence(_read_text(path))
+    return _read(path, parse_sequence)
 
 
 def _csv_digits(digits: int) -> int:
@@ -125,7 +140,7 @@ def write_trajectory_csv(path, traj: Trajectory, digits: int = 17) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    return parse_trajectory_csv(_read_text(path))
+    return _read(path, lambda data: parse_trajectory_csv(data.decode("utf-8")))
 
 
 def format_json_report(report: dict) -> str:

@@ -12,8 +12,8 @@ controlled by an explicit tail bound.  The shift map moves the origin one
 place to the right: the sequence itself is untouched, only its indexing
 changes, so shifting a window decrements ``first_index``.
 
-A window keeps the alphabet positions of its values beside the values, so
-writing it out needs no search, and a shifted window shares both.
+A window keeps only the alphabet positions of its values, 1 byte a symbol
+(not 9, with float values beside them), and gathers values per slice.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .errors import CoverageError, DomainError
 
 
 def _whole(name: str, value) -> int:
-    try:
-        return operator.index(value)
+    try:    # a bool is refused, not read as 0 or 1
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, not {value!r}") from None
 
@@ -83,70 +83,76 @@ class Alphabet:
 BINARY = Alphabet((0.0, 1.0))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SequenceWindow:
     """A contiguous, finite view of a bi-infinite symbol sequence.
 
     ``symbols[j]`` is the sequence value at integer index ``first_index + j``.
-    Every stored value must be a member of ``alphabet``.  The window also
-    keeps each value's alphabet position, read-only and in the smallest
-    unsigned dtype that holds them; a shift shares both arrays.
+    Every value must be a member of ``alphabet``.  The window keeps only each
+    value's alphabet position, read-only and in the smallest unsigned dtype
+    that holds them; a shift shares them.
     """
 
     alphabet: Alphabet
     first_index: int
-    symbols: np.ndarray
-    _positions: np.ndarray = field(init=False, repr=False)
+    _positions: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.symbols, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise DomainError("symbols must be a non-empty 1-d array")
-        values = np.asarray(self.alphabet.values)
+    def __init__(self, alphabet: Alphabet, first_index: int, symbols) -> None:
+        arr = np.asarray(symbols, dtype=np.float64)
+        values = np.asarray(alphabet.values)
         order = np.argsort(values)
         at = np.searchsorted(values, arr, sorter=order)
         codes = order[np.minimum(at, len(values) - 1)]
         if not (values[codes] == arr).all():    # NaN is never equal
             raise DomainError("window contains a value outside the alphabet")
-        self._fill(self.alphabet, self.first_index, arr,
-                   codes.astype(np.min_scalar_type(len(values) - 1)))
-
-    def _fill(self, alphabet: Alphabet, first_index: int, symbols: np.ndarray,
-              positions: np.ndarray) -> "SequenceWindow":
-        """Set every field; the arrays become read-only and are not copied."""
-        symbols.setflags(write=False)
-        positions.setflags(write=False)
-        for name, value in (("alphabet", alphabet),
-                            ("first_index", _whole("first_index", first_index)),
-                            ("symbols", symbols), ("_positions", positions)):
-            object.__setattr__(self, name, value)
-        return self
+        self._fill(alphabet, first_index, codes)
 
     @classmethod
     def from_indices(cls, alphabet: Alphabet, first_index: int,
                      indices) -> "SequenceWindow":
         """Build a window from alphabet positions instead of raw values: it
-        keeps a compact copy of them and builds its values once, no search."""
-        idx = np.asarray(indices)
-        if idx.ndim != 1 or idx.size < 1:
+        keeps a compact copy, so the caller's array stays its own."""
+        return cls._adopt(alphabet, first_index, np.asarray(indices), True)
+
+    @classmethod
+    def _adopt(cls, alphabet: Alphabet, first_index: int,
+               positions: np.ndarray, copy: bool = False) -> "SequenceWindow":
+        """The window of fresh ``positions``, taken over if compact."""
+        return object.__new__(cls)._fill(alphabet, first_index, positions, copy)
+
+    def _fill(self, alphabet: Alphabet, first_index: int,
+              positions: np.ndarray, copy: bool = False) -> "SequenceWindow":
+        """Check the positions and keep them read-only in the compact dtype."""
+        if positions.ndim != 1 or positions.size < 1:
             raise DomainError("symbols must be a non-empty 1-d array")
-        if idx.dtype.kind not in "iu":
+        if positions.dtype.kind not in "iu":
             raise DomainError("symbol indices must be integers")
-        if idx.min() < 0 or idx.max() >= len(alphabet):
+        if positions.min() < 0 or positions.max() >= len(alphabet):
             raise DomainError("symbol index out of range for the alphabet")
-        codes = idx.astype(np.min_scalar_type(len(alphabet) - 1))
-        values = np.asarray(alphabet.values)[codes]
-        return object.__new__(cls)._fill(alphabet, first_index, values, codes)
+        kept = positions.astype(np.min_scalar_type(len(alphabet) - 1),
+                                copy=copy)
+        kept.setflags(write=False)
+        for name, value in (("alphabet", alphabet),
+                            ("first_index", _whole("first_index", first_index)),
+                            ("_positions", kept)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __len__(self) -> int:
-        return int(self.symbols.size)
+        return int(self._positions.size)
 
     def __eq__(self, other: object) -> bool:
+        # alphabet values are distinct: equal positions are equal values
         if not isinstance(other, SequenceWindow):
             return NotImplemented
         return (self.alphabet == other.alphabet
                 and self.first_index == other.first_index
-                and np.array_equal(self.symbols, other.symbols))
+                and np.array_equal(self._positions, other._positions))
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """Every value of the window, built afresh as a read-only array."""
+        return self.segment(self.first_index, self.last_index)
 
     @property
     def last_index(self) -> int:
@@ -160,18 +166,20 @@ class SequenceWindow:
         return float(self.segment(index, index)[0])
 
     def segment(self, lo: int, hi: int) -> np.ndarray:
-        """Values at indices lo..hi inclusive."""
+        """Values at indices lo..hi inclusive, as a fresh read-only array."""
         if lo > hi:
             raise DomainError("segment bounds out of order")
         if not self.covers(lo, hi):
             raise CoverageError(f"window [{self.first_index}, {self.last_index}] "
                                 f"does not cover [{lo}, {hi}]")
         off = lo - self.first_index
-        return self.symbols[off:off + (hi - lo + 1)]
+        out = np.asarray(self.alphabet.values)[
+            self._positions[off:off + (hi - lo + 1)]]
+        out.setflags(write=False)
+        return out
 
     def to_indices(self) -> np.ndarray:
-        """Alphabet positions of the stored values, as a fresh int64 array
-        read from the positions the window keeps."""
+        """Alphabet positions of the stored values, as a fresh int64 array."""
         return self._positions.astype(np.int64)
 
 
@@ -207,7 +215,7 @@ def metric_distance(first: SequenceWindow, second: SequenceWindow,
 def shift(window: SequenceWindow, times: int = 1) -> SequenceWindow:
     """Apply the shift map: the value seen at index k becomes the old value
     at index k + 1, so the window keeps its symbols and moves its origin.
-    The result shares the input's read-only symbols: a shift costs O(1).
+    The result shares the input's read-only positions: a shift costs O(1).
 
     Raises:
         DomainError: the window has fewer than two symbols, or times < 1.

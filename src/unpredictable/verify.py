@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError, ResolutionError
 from .filtering import (_BLOCK, _EDGE_TOL, FilterConfig, StepSignal,
-                        Trajectory, _Lattice, separation_constants)
+                        Trajectory, _Lattice, _OnDemand, separation_constants)
 from .symbolspace import (SequenceWindow, _positive, _whole, metric_distance,
                           shift)
 
@@ -157,13 +157,15 @@ def _is_period(v, n: int, s: int, tolerance: float) -> bool:
 def _shift_blocks(seq: SequenceWindow, L: int, tolerance: float):
     """The shifts of :func:`qualifying_shifts`, one array per block of
     windows, read only as far as the consumer asks."""
-    v, base = seq.symbols, seq.segment(-L, L)
+    values, positions = np.asarray(seq.alphabet.values), seq._positions
+    base = seq.segment(-L, L)
     # window for shift z starts at array offset off0 + z - 1 >= 1
     off0 = 1 - L - seq.first_index
-    for lo, hi in _blocks(off0, len(v) - 2 * L, _SHIFTS0):
-        err = np.abs(v[lo:hi] - base[0])
+    for lo, hi in _blocks(off0, len(seq) - 2 * L, _SHIFTS0):
+        v = values[positions[lo:hi + 2 * L]]    # the block's windows
+        err = np.abs(v[:hi - lo] - base[0])
         for k in range(1, 2 * L + 1):
-            err = np.maximum(err, np.abs(v[lo + k:hi + k] - base[k]))
+            err = np.maximum(err, np.abs(v[k:k + hi - lo] - base[k]))
         yield np.flatnonzero(err <= tolerance) + (lo - off0 + 1)
 
 
@@ -204,7 +206,8 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
     count = _positive("count", count)
     _check_tolerance(tolerance)
 
-    v = seq.symbols
+    values, positions = np.asarray(seq.alphabet.values), seq._positions
+    v = _OnDemand(lambda run: values[positions[run]])    # gathered per block
     base = seq.segment(-L, L)
     witnesses: list[SequenceWitness] = []
     start = 1 - seq.first_index    # array offset of the smallest eta allowed
@@ -212,7 +215,7 @@ def find_sequence_witnesses(seq: SequenceWindow, window_half_width: int,
 
     shifts = (z for b in _shift_blocks(seq, L, tolerance) for z in b.tolist())
     for zeta in shifts:
-        n = len(v) - zeta    # offsets below n have a partner zeta later
+        n = len(seq) - zeta    # offsets below n have a partner zeta later
         i, sep = _first_reaching(    # the first separating eta from start
             lambda a, b: np.abs(v[a + zeta:b + zeta] - v[a:b]),
             start, n, epsilon0)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 from pathlib import Path
@@ -115,8 +116,9 @@ def test_seed_range():
         BernoulliSpec(BINARY, FAIR, 2 ** 64, 1)
     with pytest.raises(DomainError):
         BernoulliSpec(BINARY, FAIR, -1, 1)
-    # only integers: no NaN, no inf, no silent truncation, no strings
-    for seed in (float("nan"), float("inf"), 1.5, 7.0, "7"):
+    # only integers: no NaN, no inf, no silent truncation, no strings, and
+    # no bool read as 0 or 1
+    for seed in (float("nan"), float("inf"), 1.5, 7.0, "7", True):
         with pytest.raises(DomainError):
             BernoulliSpec(BINARY, FAIR, seed, 1)
 
@@ -124,7 +126,7 @@ def test_seed_range():
 def test_length_positive():
     with pytest.raises(DomainError):
         BernoulliSpec(BINARY, FAIR, 0, 0)
-    for length in (float("nan"), float("inf"), 2.7, 2.0, "2"):
+    for length in (float("nan"), float("inf"), 2.7, 2.0, "2", True):
         with pytest.raises(DomainError):
             BernoulliSpec(BINARY, FAIR, 0, length)
 
@@ -213,6 +215,23 @@ def test_realize_equals_the_stdlib_loop_for_any_spec(seed, length, probs,
     spec = BernoulliSpec(signed_alphabet(len(probs)), probs, seed, length)
     with mock.patch.object(bernoulli, "_BLOCK", block):
         assert realize(spec) == _realize_reference(spec)
+
+
+def test_realize_draws_straight_into_compact_positions():
+    # 1 byte a symbol kept, plus per block of 2**16 draws under 40 bytes a
+    # draw of temporaries: the 64-bit random integer and its bytes, the
+    # float64 variates and the intp searchsorted result.  An int64 index
+    # array would add 8 bytes a symbol.
+    n = 10 ** 6
+    spec = BernoulliSpec(Alphabet((-1.0, 0.0, 1.0)), (0.3, 0.3, 0.4), 0, n)
+    tracemalloc.start()
+    try:
+        w = realize(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == n
+    assert peak < n + 40 * bernoulli._BLOCK
 
 
 def test_draws_and_file_reads_never_import_numpy_random():

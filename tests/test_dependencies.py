@@ -1,6 +1,6 @@
 """The package needs nothing at run time beyond numpy and the stdlib,
-exports exactly its public names, and names the encoding of every file it
-opens."""
+exports exactly its public names, and names the encoding of every text file
+it opens and of every decode."""
 
 import ast
 import os
@@ -44,16 +44,43 @@ def test_all_lists_every_public_name_once_in_order():
                for name in exported)
 
 
-def test_every_file_call_names_its_encoding():
-    # without one, text files are read and written in the locale's encoding
+def _calls(name):
+    """(file, line, call) for every call of ``name`` in the package."""
     src = Path(unpredictable.__file__).resolve().parent
-    unnamed = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if (name in ("open", "read_text", "write_text")
-                    and "encoding" not in {k.arg for k in node.keywords}):
-                unnamed.append(f"{path.name}:{node.lineno} {name}")
+            if isinstance(node, ast.Call) and name == getattr(
+                    node.func, "id", getattr(node.func, "attr", None)):
+                yield path.name, node.lineno, node
+
+
+def _keyword_or_arg(call, keyword, position):
+    """The node passed as ``keyword`` or at ``position``, else None."""
+    for k in call.keywords:
+        if k.arg == keyword:
+            return k.value
+    return call.args[position] if len(call.args) > position else None
+
+
+def test_every_file_call_names_its_encoding():
+    # without one, text files are read and written in the locale's encoding;
+    # a binary-mode open must have none (passing one raises ValueError), and
+    # only a literal mode shows that it is binary
+    wrong = []
+    # the position of the encoding argument in each signature
+    for name, position in (("open", 3), ("read_text", 0), ("write_text", 1)):
+        for file, line, call in _calls(name):
+            mode = _keyword_or_arg(call, "mode", 1) if name == "open" else None
+            binary = (isinstance(mode, ast.Constant)
+                      and isinstance(mode.value, str) and "b" in mode.value)
+            named = _keyword_or_arg(call, "encoding", position) is not None
+            if named == binary:
+                wrong.append(f"{file}:{line} {name}")
+    assert wrong == []
+
+
+def test_every_decode_names_its_codec():
+    # bytes.decode() without a codec means UTF-8, but say so
+    unnamed = [f"{file}:{line}" for file, line, call in _calls("decode")
+               if _keyword_or_arg(call, "encoding", 0) is None]
     assert unnamed == []

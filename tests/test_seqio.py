@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 from unpredictable import (BINARY, Alphabet, DomainError, SequenceWindow,
                            Trajectory, format_json_report, format_sequence,
                            format_trajectory_csv, parse_sequence,
-                           parse_trajectory_csv, read_sequence,
-                           read_trajectory_csv, write_json_report,
+                           parse_trajectory_csv, point_window, read_sequence,
+                           read_trajectory_csv, seqio, write_json_report,
                            write_sequence, write_trajectory_csv)
 
 
 def test_sequence_text_layout():
     w = SequenceWindow(BINARY, -2, np.array([1.0, 0.0, 0.0, 1.0]))
-    assert format_sequence(w) == ("alphabet: 0.0,1.0\n"
-                                  "first_index: -2\n"
-                                  "1,0,0,1\n")
+    assert format_sequence(w) == (b"alphabet: 0.0,1.0\n"
+                                  b"first_index: -2\n"
+                                  b"1,0,0,1\n")
 
 
 def test_sequence_round_trip_binary():
@@ -44,7 +44,7 @@ def _format_sequence_reference(window):
     indices = ",".join(str(i) for i in window.to_indices().tolist())
     return (f"alphabet: {alphabet}\n"
             f"first_index: {window.first_index}\n"
-            f"{indices}\n")
+            f"{indices}\n").encode("ascii")
 
 
 @pytest.mark.parametrize("size", [2, 3, 12, 101])
@@ -76,8 +76,60 @@ def test_sequence_writer_makes_no_int64_index_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.endswith("0,1,0,1\n")
+    assert text.endswith(b"0,1,0,1\n")
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("n", [1, seqio._BLOCK - 1, seqio._BLOCK,
+                               2 * seqio._BLOCK, 2 * seqio._BLOCK + 1])
+def test_streamed_file_equals_the_formatted_bytes(tmp_path, n):
+    # the last block, full or not, ends the index line
+    a = Alphabet(tuple(float(k) for k in range(12)))
+    w = SequenceWindow.from_indices(
+        a, -3, np.random.default_rng(n).integers(0, 12, n))
+    p = tmp_path / "w.seq"
+    write_sequence(p, w)
+    assert p.read_bytes() == format_sequence(w) == _format_sequence_reference(w)
+
+
+@pytest.fixture(scope="module")
+def point_file(tmp_path_factory):
+    """The 2**20-symbol point window and its 2.1 MB sequence file."""
+    w = point_window(-(1 << 19), 1 << 20)
+    p = tmp_path_factory.mktemp("seq") / "point.seq"
+    write_sequence(p, w)
+    return w, p
+
+
+def test_sequence_file_is_written_a_block_at_a_time(point_file, tmp_path):
+    # a block of 2**14 symbols costs under 16 bytes a symbol (the intp take
+    # indices, the name rows, their mask, the line and its bytes): 256 KiB,
+    # where the 2 bytes a symbol of the whole line would take 2 MiB
+    w, _ = point_file
+    p = tmp_path / "w.seq"
+    tracemalloc.start()
+    try:
+        write_sequence(p, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.read_bytes() == format_sequence(w)
+    assert peak < 16 * seqio._BLOCK
+
+
+def test_sequence_file_is_read_in_place(point_file):
+    # the file's 2 bytes a symbol and 1 byte a symbol of kept positions; the
+    # comma and digit checks take no temporary array.  The text reader held
+    # the text three times over beside 9 bytes a symbol of window.
+    w, p = point_file
+    tracemalloc.start()
+    try:
+        back = read_sequence(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == w
+    assert peak < 3.2 * len(w)
 
 
 def test_sequence_file_round_trip(tmp_path):
@@ -105,19 +157,73 @@ def test_undecodable_files_are_domain_errors(tmp_path, read, text):
 
 
 @pytest.mark.parametrize("text", [
-    "",
-    "alphabet: 0.0,1.0\nfirst_index: 0\n",
-    "alphabet: 0.0,1.0\nfirst_index: 0\n0,1\nextra\n",
-    "first_index: 0\nalphabet: 0.0,1.0\n0,1\n",
-    "alphabet: 0.0,1.0\nfirst: 0\n0,1\n",
-    "alphabet: 0.0,1.0\nfirst_index: zero\n0,1\n",
-    "alphabet: 0.0,1.0\nfirst_index: 0\n0,x\n",
-    "alphabet: 0.0\nfirst_index: 0\n0,0\n",
-    "alphabet: 0.0,1.0\nfirst_index: 0\n0,2\n",
+    b"",
+    b"alphabet: 0.0,1.0\nfirst_index: 0\n",
+    b"alphabet: 0.0,1.0\nfirst_index: 0\n0,1\nextra\n",
+    b"first_index: 0\nalphabet: 0.0,1.0\n0,1\n",
+    b"alphabet: 0.0,1.0\nfirst: 0\n0,1\n",
+    b"alphabet: 0.0,1.0\nfirst_index: zero\n0,1\n",
+    b"alphabet: 0.0,1.0\nfirst_index: 0\n0,x\n",
+    b"alphabet: 0.0\nfirst_index: 0\n0,0\n",
+    b"alphabet: 0.0,1.0\nfirst_index: 0\n0,2\n",
 ])
 def test_malformed_sequence_files(text):
     with pytest.raises(DomainError):
         parse_sequence(text)
+
+
+def _parse_sequence_reference(text):
+    """The text reader the byte reader replaced: splitlines, then int()."""
+    lines = text.splitlines()
+    if len(lines) != 3:
+        raise DomainError("sequence file must have exactly three lines")
+    head, idx_head, body = lines
+    if not head.startswith("alphabet:"):
+        raise DomainError("first line must start with 'alphabet:'")
+    if not idx_head.startswith("first_index:"):
+        raise DomainError("second line must start with 'first_index:'")
+    try:
+        values = tuple(float(v) for v in head[len("alphabet:"):].split(","))
+        first_index = int(idx_head[len("first_index:"):].strip())
+        indices = np.array(body.split(","), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed sequence file: {exc}") from None
+    return SequenceWindow.from_indices(Alphabet(values), first_index, indices)
+
+
+def _sequence_outcome(parse, data):
+    try:
+        return parse(data)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "alphabet: 0.0,1.0\nfirst_index: 4\n0,1,1",
+    "alphabet: 0.0,1.0\r\nfirst_index: 4\r\n0,1,1\r\n",
+    "alphabet: 0.0,1.0\rfirst_index: 4\n0,1,1\n",
+    "alphabet: 0.0,1.0\x0bfirst_index: 4\n0,1,1\n",
+    "alphabet: 0.0,1.0\nfirst_index: 4\x0b\n0,1,1\n",
+    "alphabet: 0.0,1.0\nfirst_index: 4\u2028\n0,1,1\n",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n\n0,1,1\n",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n0,1,1\n\n",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n0,1,1\r",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n0,1,1\x1c",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n\n",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n0",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n/,0",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n0,1,:\n",
+    "alphabet: 0.0,1.0\nfirst_index: 4\n0.1,1\n",
+    "alphabet: \u00e9\nfirst_index: 4\n0,1\n",
+    "\nalphabet: 0.0,1.0\nfirst_index: 4\n0,1\n",
+    "alphabet: 0.0,1.0\n\nfirst_index: 4\n0,1\n",
+])
+def test_sequence_bytes_parse_like_the_text_reader(text):
+    # line breaks other than LF, a missing or doubled last newline, and
+    # bytes just outside the digits and the comma
+    assert _sequence_outcome(parse_sequence, text.encode("utf-8")) == (
+        _sequence_outcome(_parse_sequence_reference, text))
 
 
 def int_parse_indices(body):
@@ -126,7 +232,7 @@ def int_parse_indices(body):
 
 
 def sequence_text(body):
-    return f"alphabet: 0.0,1.0\nfirst_index: 4\n{body}\n"
+    return f"alphabet: 0.0,1.0\nfirst_index: 4\n{body}\n".encode("utf-8")
 
 
 @pytest.mark.parametrize("body", [
@@ -171,7 +277,7 @@ def test_written_index_lines_parse_like_int(size, first, data):
                              max_size=300))
     text = format_sequence(SequenceWindow.from_indices(a, first, idx))
     want = SequenceWindow.from_indices(
-        a, first, int_parse_indices(text.splitlines()[2]))
+        a, first, int_parse_indices(text.decode("ascii").splitlines()[2]))
     assert parse_sequence(text) == want
     assert want.to_indices().tolist() == idx
 
@@ -207,8 +313,8 @@ def test_trajectory_digits_validation():
     for bad in (0, 18, -3):
         with pytest.raises(DomainError):
             format_trajectory_csv(tr, digits=bad)
-    # 2.5 used to write 2 digits and 17.9 to write 17
-    for bad in (2.5, 17.9, "3"):
+    # 2.5 used to write 2 digits, 17.9 to write 17 and True to write 1
+    for bad in (2.5, 17.9, "3", True):
         with pytest.raises(DomainError, match="digits must be an integer"):
             format_trajectory_csv(tr, digits=bad)
     assert format_trajectory_csv(tr, np.int64(3)) == (

@@ -187,10 +187,10 @@ WHOLE_NUMBER_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, 1.9, math.nan, math.inf, "3"])
+@pytest.mark.parametrize("bad", [2.5, 1.9, math.nan, math.inf, "3", True])
 @pytest.mark.parametrize("name", list(WHOLE_NUMBER_ARGUMENTS))
 def test_whole_number_arguments_are_exact(name, bad):
-    # shift(w, 1.9) used to move the origin once
+    # shift(w, 1.9) used to move the origin once, and shift(w, True) too
     call = WHOLE_NUMBER_ARGUMENTS[name]
     with pytest.raises(DomainError, match=f"{name} must be an integer"):
         call(bad)
@@ -224,10 +224,13 @@ class TestShift:
             shift(window(0, [1, 0]), times=0)
 
     def test_shares_read_only_symbols(self):
+        # the window keeps positions only; its symbols are built from them
         w = window(-3, [0, 1, 1, 0, 1])
         s = shift(w, 2)
-        assert np.shares_memory(s.symbols, w.symbols)
-        assert not s.symbols.flags.writeable
+        assert np.shares_memory(s._positions, w._positions)
+        assert not s._positions.flags.writeable
+        with pytest.raises(ValueError):
+            s._positions[0] = 1
         with pytest.raises(ValueError):
             s.symbols[0] = 1.0
         assert w.first_index == -3
@@ -349,8 +352,8 @@ THREE = Alphabet((3.0, -0.0, -1.0))
 @pytest.mark.parametrize("build, positions", [
     (lambda: SequenceWindow.from_indices(THREE, -2, [2, 0, 1, 1]),
      [2, 0, 1, 1]),
-    (lambda: parse_sequence("alphabet: 3.0,-0.0,-1.0\nfirst_index: 4\n"
-                            "1,2,0\n"), [1, 2, 0]),
+    (lambda: parse_sequence(b"alphabet: 3.0,-0.0,-1.0\nfirst_index: 4\n"
+                            b"1,2,0\n"), [1, 2, 0]),
     (lambda: shift(SequenceWindow.from_indices(THREE, 0, [0, 2, 1]), 3),
      [0, 2, 1]),
     (lambda: point_window(-5, 10), [1, 1, 1, 0, 1, 0, 0, 0, 1, 0]),
@@ -368,8 +371,9 @@ def test_positions_travel_with_the_window(build, positions):
     assert format_sequence(w) == text
 
 
-def test_from_indices_allocates_its_values_once():
-    # float64 values and a compact copy of the uint8 positions, no more
+def test_from_indices_allocates_its_positions_once():
+    # one compact copy of the uint8 positions, 1 byte a symbol, and no
+    # float64 values (8 bytes a symbol)
     n = 1 << 20
     idx = np.arange(n, dtype=np.uint8) % 2
     tracemalloc.start()
@@ -379,4 +383,5 @@ def test_from_indices_allocates_its_values_once():
     finally:
         tracemalloc.stop()
     assert len(w) == n
-    assert peak < 1.3 * 8 * n + n
+    assert not np.shares_memory(w._positions, idx)
+    assert peak < 1.1 * n

@@ -104,10 +104,11 @@ class TestSequenceSearch:
         with pytest.raises(DomainError):
             find_sequence_witnesses(point_64k, 0, 0.0, 1.0, 1)
 
-    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3"])
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "3", True])
     @pytest.mark.parametrize("name", ["window_half_width", "count"])
     def test_whole_number_arguments_are_exact(self, point_64k, name, bad):
-        # count=2.5 used to pass the check and then scan the whole window
+        # count=2.5 used to pass the check and then scan the whole window;
+        # count=True asked for one witness
         args = dict(window_half_width=4, tolerance=0.0, epsilon0=1.0, count=3)
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             find_sequence_witnesses(point_64k, **{**args, name: bad})
@@ -846,11 +847,13 @@ def _verify_filtered_reference(seq, report):
 
 
 @st.composite
-def filtered_cases(draw):
+def filtered_cases(draw, short=False):
     """An i* window with derived shifts; a Bernoulli drive over 2-5 symbols
     with explicit shifts that all qualify; or a periodic drive whose
     shifts are periods, which nothing separates.  sigma = 1/32 keeps the
-    lattice dyadic at every mu."""
+    lattice dyadic at every mu.  ``short`` draws about 300 symbols of i*,
+    or drives of 128 symbols shifted by at most 40 pieces, for blocks of
+    one sample, which evaluate the lattice once per sample."""
     mu = draw(st.sampled_from([0.25, 0.5, 1.0]))
     kind = draw(st.sampled_from(["point", "bernoulli", "periodic"]))
     flags = dict(mu=mu, decay=draw(st.sampled_from([0.5, 1.0, 2.0])),
@@ -859,33 +862,42 @@ def filtered_cases(draw):
                  compact=(0.0, 2.0 * mu), sigma=1.0 / 32, half_width=4,
                  auto_shifts=draw(st.integers(1, 3)))
     if kind == "point":
-        before = draw(st.integers(64, 600))
-        seq = point_window(-before, before + draw(st.integers(512, 2048)))
-        return seq, flags
+        before = draw(st.integers(64, 100 if short else 600))
+        after = st.integers(200, 250) if short else st.integers(512, 2048)
+        return point_window(-before, before + draw(after)), flags
+    # symbols, largest shift, most periods in a shift
+    n, most, periods = (128, 40, 6) if short else (600, 500, 80)
     if kind == "bernoulli":
         k = draw(st.integers(2, 5))
         alphabet = Alphabet(tuple(float(v) for v in range(-1, k - 1)))
         drive = realize(BernoulliSpec(alphabet, (1.0 / k,) * k,
-                                      draw(st.integers(0, 2**32 - 1)), 600))
+                                      draw(st.integers(0, 2**32 - 1)), n))
         seq = SequenceWindow(alphabet, -64, drive.symbols)
         epsilon0 = draw(st.sampled_from([1e-3, 0.05]))
-        ks = draw(st.lists(st.integers(1, 500), min_size=1, max_size=4))
+        ks = draw(st.lists(st.integers(1, most), min_size=1, max_size=4))
     else:
         period = draw(st.integers(1, 6))
         pattern = draw(st.lists(st.sampled_from([0.0, 1.0]),
                                 min_size=period, max_size=period))
-        seq = SequenceWindow(BINARY, -64, np.resize(pattern, 600))
+        seq = SequenceWindow(BINARY, -64, np.resize(pattern, n))
         epsilon0 = 2.0
-        ks = [period * j for j in draw(st.lists(st.integers(1, 80),
+        ks = [period * j for j in draw(st.lists(st.integers(1, periods),
                                                 min_size=1, max_size=4))]
     return seq, {**flags, "shifts": [z * mu for z in ks], "tolerance": 10.0,
                  "epsilon0": epsilon0}
 
 
-@given(case=filtered_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]))
+@st.composite
+def sized_filtered_cases(draw):
+    """A block size for the scans and a case that is short at size 1."""
+    block = draw(st.sampled_from([1, 3, 64, 1 << 16]))
+    return draw(filtered_cases(short=block == 1)), block
+
+
+@given(sized=sized_filtered_cases())
 @settings(max_examples=60, deadline=None)
-def test_verify_filtered_equals_chi_exact_and_the_dense_scan(case, block):
-    seq, flags = case
+def test_verify_filtered_equals_chi_exact_and_the_dense_scan(sized):
+    (seq, flags), block = sized
     with mock.patch.multiple(verify, _ETAS0=block, _BLOCK=block):
         report = verify_filtered(seq, **flags)
     tr, want = _verify_filtered_reference(seq, report)
@@ -1017,11 +1029,13 @@ ALPHABETS = (BINARY, Alphabet((-1.0, 0.0, 1.0)),
 
 
 @st.composite
-def sequence_cases(draw):
+def sequence_cases(draw, short=False):
     """An exactly periodic window, the same with one symbol flipped, or a
     random one, mostly covering [-L, L], and a search over it.  A late flip
     puts the first separating index, and a late copy of a flip at index 0
-    the first qualifying shift, past several doubled blocks."""
+    the first qualifying shift, past several doubled blocks.  ``short``
+    keeps the late cases under about 300 symbols, for blocks of one index,
+    which cross a block edge at every index anyway."""
     alphabet = draw(st.sampled_from(ALPHABETS))
     values = np.asarray(alphabet.values)
     L = draw(st.integers(1, 4))
@@ -1030,8 +1044,9 @@ def sequence_cases(draw):
     late = kind.startswith("late")
     # before = -1, or one symbol less than 2L + 2 + before, leaves no room
     before = draw(st.integers(-1, 40))
-    n = 2 * L + 2 + before + draw(st.integers(600, 1500) if late
-                                  else st.integers(-1, 300))
+    reach = 100 if short else 300    # the least offset of a late copy
+    extra = st.integers(200, 250) if short else st.integers(600, 1500)
+    n = 2 * L + 2 + before + draw(extra if late else st.integers(-1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def flip(j):
@@ -1050,7 +1065,7 @@ def sequence_cases(draw):
             flip(draw(st.integers(n // 2, n - 1)))
         elif kind == "late copy":
             zero = L + before    # array offset of index 0
-            copy = zero + period * draw(st.integers(300 // period,
+            copy = zero + period * draw(st.integers(reach // period,
                                                     (n - zero - L) // period))
             assume(copy + L < n)
             flip(zero)
@@ -1061,10 +1076,18 @@ def sequence_cases(draw):
             draw(st.integers(1, 8)))
 
 
-@given(case=sequence_cases(),
-       sizes=st.tuples(*[st.sampled_from([1, 3, 64, 1 << 16])] * 3))
+@st.composite
+def sized_sequence_cases(draw):
+    """Block sizes for the shift scan, the eta scan and the cap, and a case
+    that is short when any of them is 1."""
+    sizes = draw(st.tuples(*[st.sampled_from([1, 3, 64, 1 << 16])] * 3))
+    return draw(sequence_cases(short=1 in sizes)), sizes
+
+
+@given(sized=sized_sequence_cases())
 @settings(max_examples=400, deadline=None)
-def test_forward_eta_scan_equals_the_dense_scan(case, sizes):
+def test_forward_eta_scan_equals_the_dense_scan(sized):
+    case, sizes = sized
     want = _sequence_outcome(_find_sequence_witnesses_reference, *case)
     shifts0, etas0, block = sizes
     with mock.patch.multiple(verify, _SHIFTS0=shifts0, _ETAS0=etas0,
